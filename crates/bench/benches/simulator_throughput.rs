@@ -172,7 +172,9 @@ fn main() {
     let mut h = Harness::new();
 
     if !quick {
-        for bench in ["gcc", "crafty"] {
+        // Core-only rows: high-IPC gcc keeps the window nearly empty,
+        // branchy crafty recovers constantly, FP-heavy equake keeps it full.
+        for bench in ["gcc", "crafty", "equake"] {
             let w = by_name(bench).expect("suite workload");
             let mut core =
                 Core::with_skip(CoreConfig::alpha21264_like(), w.program(), w.warmup_insts);

@@ -125,6 +125,13 @@ struct RuuEntry {
     class: OpClass,
     /// Producing seq numbers this entry still waits on.
     deps: [Option<u64>; 2],
+    /// Head of this entry's consumer list (`sim-outorder`'s output
+    /// dependence chain): the entries waiting on it, youngest first. A
+    /// link `2 * seq + k` names consumer `seq`'s `k`-th dep; [`NO_LINK`]
+    /// ends the list.
+    consumers: u64,
+    /// For each of `deps`, the next link on that producer's list.
+    next_consumer: [u64; 2],
     issued: bool,
     completed: bool,
     complete_cycle: u64,
@@ -205,12 +212,15 @@ pub struct Core {
     activity: Activity,
     stats: CoreStats,
     halted_seen: bool,
-    /// Writeback's per-cycle completion scratch `(ruu index, seq)`,
-    /// hoisted to a field so the cycle loop never heap-allocates.
-    wb_completed: Vec<(usize, u64)>,
-    /// Writeback's per-cycle wakeup scratch (seqs that became ready),
-    /// hoisted for the same reason.
-    wb_woken: Vec<u64>,
+    /// Writeback's event queue: `(complete_cycle, seq)` of every issued,
+    /// uncompleted RUU entry, sorted descending so the earliest is last.
+    /// Issue inserts, writeback pops what is due, recovery drops squashed
+    /// seqs — so writeback never scans the window for completions, and
+    /// the earliest pending completion (the idle-window drain bound) is
+    /// the last element. A sorted vector beats a binary heap here: the
+    /// queue holds only in-flight ops, and most of them (1-cycle ALU ops)
+    /// belong at or near the end, where issue starts its search.
+    completions: Vec<(u64, u64)>,
     /// Issue-select ready list: seqs of RUU entries that are ready (no
     /// outstanding deps) and not yet issued, ascending. Maintained
     /// incrementally — dispatch adds born-ready entries, writeback adds
@@ -228,6 +238,9 @@ pub struct Core {
     /// Accumulated host nanoseconds per stage, in [`STAGE_NAMES`] order.
     stage_nanos: [u64; 6],
 }
+
+/// The end of a consumer list (see `RuuEntry::consumers`).
+const NO_LINK: u64 = u64::MAX;
 
 /// Stage names matching the `stage_nanos` accumulator order.
 pub const STAGE_NAMES: [&str; 6] =
@@ -296,8 +309,7 @@ impl Core {
             activity: Activity::new(),
             stats: CoreStats::default(),
             halted_seen: false,
-            wb_completed: Vec::new(),
-            wb_woken: Vec::new(),
+            completions: Vec::with_capacity(cfg.ruu_size),
             ready_unissued: Vec::with_capacity(cfg.ruu_size),
             stage_profiling: false,
             stage_nanos: [0; 6],
@@ -435,12 +447,13 @@ impl Core {
     ///
     /// The window is bounded by the two events that can wake the
     /// pipeline. The *drain* bound is the earliest `complete_cycle` of
-    /// an in-flight (issued, uncompleted) RUU entry — writeback fires
-    /// the cycle it is reached. The *fetch* bound is the first cycle at
-    /// which the duty gate opens while fetch has both supply (an oracle
-    /// record, or any wrong-path cycle) and nonzero width; the gate is
-    /// simulated on a copy, and only advanced for real when the caller
-    /// commits via [`skip_idle`](Core::skip_idle). Preconditions for any
+    /// an in-flight (issued, uncompleted) RUU entry, the head of the
+    /// completion queue — writeback fires the cycle it is reached. The
+    /// *fetch* bound is the first cycle at which the duty gate opens
+    /// while fetch has both supply (an oracle record, or any wrong-path
+    /// cycle) and nonzero width; the gate is simulated on a copy, and
+    /// only advanced for real when the caller commits via
+    /// [`skip_idle`](Core::skip_idle). Preconditions for any
     /// window: IFQ, rename pipe, and ready-unissued list empty (so no
     /// stage has queued work), window head not yet committable, and
     /// speculation control off (its stall counter is not modeled here).
@@ -455,12 +468,7 @@ impl Core {
         if self.ruu.front().is_some_and(|e| e.completed) {
             return None; // commit would retire it this cycle
         }
-        let mut drain_wake = u64::MAX;
-        for e in &self.ruu {
-            if e.issued && !e.completed && e.complete_cycle < drain_wake {
-                drain_wake = e.complete_cycle;
-            }
-        }
+        let drain_wake = self.completions.last().map_or(u64::MAX, |&(at, _)| at);
         if drain_wake <= self.cycle {
             return None; // a completion lands this cycle
         }
@@ -596,11 +604,11 @@ impl Core {
                             self.stats.l2_misses += 1;
                         }
                     }
-                    self.lsq_remove(entry.seq);
+                    self.lsq_pop_committed(entry.seq);
                     self.wrong_path.observe_addr(addr);
                 }
                 OpClass::Load => {
-                    self.lsq_remove(entry.seq);
+                    self.lsq_pop_committed(entry.seq);
                     if let Some(addr) = entry.uop.mem_addr {
                         self.wrong_path.observe_addr(addr);
                     }
@@ -636,65 +644,50 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn writeback(&mut self) {
-        // Collect completions for this cycle into a persistent buffer
-        // (reused across cycles — the cycle loop never heap-allocates).
-        let mut completed = std::mem::take(&mut self.wb_completed);
-        completed.clear();
+        // Pop this cycle's completions off the event queue. Writeback runs
+        // every cycle and an idle skip ends at the earliest completion, so
+        // every due event is due exactly now, and they come off the queue
+        // oldest first — the first mispredicting control op among them is
+        // the one that triggers recovery.
+        let front_seq = self.ruu.front().map_or(0, |e| e.seq);
         let mut recovery: Option<usize> = None;
-        for (i, e) in self.ruu.iter_mut().enumerate() {
-            if e.issued && !e.completed && e.complete_cycle <= self.cycle {
-                e.completed = true;
-                completed.push((i, e.seq));
-                if e.is_control() {
-                    self.unresolved_branches = self.unresolved_branches.saturating_sub(1);
-                    if e.uop.will_mispredict && recovery.is_none() {
-                        recovery = Some(i);
-                    }
+        while let Some(&(at, seq)) = self.completions.last() {
+            if at > self.cycle {
+                break;
+            }
+            debug_assert_eq!(at, self.cycle, "a completion was skipped over");
+            self.completions.pop();
+            let i = (seq - front_seq) as usize;
+            let e = &mut self.ruu[i];
+            debug_assert!(e.issued && !e.completed);
+            e.completed = true;
+            if e.is_control() {
+                self.unresolved_branches = self.unresolved_branches.saturating_sub(1);
+                if e.uop.will_mispredict && recovery.is_none() {
+                    recovery = Some(i);
                 }
             }
-        }
-
-        // Broadcast results: wake dependents. Dependences always point at
-        // older (smaller-seq) producers, so only entries *behind* the
-        // earliest completing one can be waiting on any of this cycle's
-        // results. One pass over that suffix matches each sleeping dep
-        // against the completion set (seqs ascending — collected in RUU
-        // order), instead of rescanning the window per completing uop.
-        for _ in &completed {
             self.activity.bump(Block::ResultBus);
             self.activity.bump(Block::Window);
-        }
-        if let (Some(&(first_idx, first_seq)), Some(&(_, last_seq))) =
-            (completed.first(), completed.last())
-        {
-            let mut woken = std::mem::take(&mut self.wb_woken);
-            woken.clear();
-            for e in self.ruu.range_mut(first_idx + 1..) {
-                let mut cleared = false;
-                for d in e.deps.iter_mut() {
-                    if let Some(v) = *d {
-                        if v >= first_seq
-                            && v <= last_seq
-                            && completed.binary_search_by_key(&v, |&(_, s)| s).is_ok()
-                        {
-                            *d = None;
-                            cleared = true;
-                        }
+
+            // Broadcast the result to the consumers on this producer's
+            // list. An entry joins the ready list when its last dep
+            // clears, so it was not on the list before.
+            let mut link = std::mem::replace(&mut e.consumers, NO_LINK);
+            while link != NO_LINK {
+                let c = &mut self.ruu[((link >> 1) - front_seq) as usize];
+                for d in c.deps.iter_mut() {
+                    if *d == Some(seq) {
+                        *d = None;
                     }
                 }
-                // A cleared dep means the entry was not ready before this
-                // cycle, so it cannot already be on the ready list.
-                if cleared && !e.issued && e.ready() {
-                    woken.push(e.seq);
+                if c.ready() {
+                    let pos = self.ready_unissued.partition_point(|&s| s < c.seq);
+                    self.ready_unissued.insert(pos, c.seq);
                 }
+                link = c.next_consumer[(link & 1) as usize];
             }
-            for &seq in &woken {
-                let pos = self.ready_unissued.partition_point(|&s| s < seq);
-                self.ready_unissued.insert(pos, seq);
-            }
-            self.wb_woken = woken;
         }
-        self.wb_completed = completed;
 
         if let Some(idx) = recovery {
             self.recover(idx);
@@ -715,6 +708,18 @@ impl Core {
             )
         };
 
+        // Survivors forget their squashed consumers — the youngest, so
+        // they head each list — while the squashed entries, which hold the
+        // links past them, are still there.
+        let front_seq = self.ruu[0].seq;
+        for i in 0..=idx {
+            let mut link = self.ruu[i].consumers;
+            while link != NO_LINK && link >> 1 > branch_seq {
+                let squashed = &self.ruu[((link >> 1) - front_seq) as usize];
+                link = squashed.next_consumer[(link & 1) as usize];
+            }
+            self.ruu[i].consumers = link;
+        }
         while self.ruu.back().is_some_and(|e| e.seq > branch_seq) {
             self.ruu.pop_back();
         }
@@ -740,9 +745,11 @@ impl Core {
         // RUU sequence numbers must stay contiguous (dependence lookups
         // index by `seq - front.seq`): recycle the squashed numbers.
         self.next_seq = branch_seq + 1;
-        // Squashed entries leave the ready list too — the recycled seqs
-        // will name fresh entries that must earn their own readiness.
+        // Squashed entries leave the ready list and the completion queue
+        // too — the recycled seqs will name fresh entries that must earn
+        // their own readiness.
         self.ready_unissued.retain(|&s| s <= branch_seq);
+        self.completions.retain(|&(_, s)| s <= branch_seq);
     }
 
     // ------------------------------------------------------------------
@@ -848,7 +855,7 @@ impl Core {
                     if mem_ports == 0 {
                         None
                     } else {
-                        match self.try_issue_load(i, front_seq) {
+                        match self.try_issue_load(i) {
                             Some(lat) => {
                                 mem_ports -= 1;
                                 Some(lat)
@@ -867,6 +874,11 @@ impl Core {
             let e = &mut self.ruu[i];
             e.issued = true;
             e.complete_cycle = self.cycle + latency;
+            // Most ops complete soonest, so their place is at or near the
+            // end: search from there.
+            let event = (e.complete_cycle, seq);
+            let pos = self.completions.iter().rposition(|&q| q > event).map_or(0, |p| p + 1);
+            self.completions.insert(pos, event);
             self.activity.bump(Block::Window);
             issued += 1;
             self.stats.issued += 1;
@@ -878,15 +890,15 @@ impl Core {
     /// Checks LSQ ordering constraints for the load at RUU index `i` and
     /// performs the cache access if it may issue. Returns the load
     /// latency, or `None` if it must wait.
-    fn try_issue_load(&mut self, ruu_idx: usize, _front_seq: u64) -> Option<u64> {
+    fn try_issue_load(&mut self, ruu_idx: usize) -> Option<u64> {
         let seq = self.ruu[ruu_idx].seq;
         let addr = self.ruu[ruu_idx].uop.mem_addr.expect("loads have addresses");
 
+        // The LSQ is seq-ordered: search the entries older than the load,
+        // youngest first.
+        let older = self.lsq.partition_point(|e| e.seq < seq);
         let mut forward = false;
-        for e in self.lsq.iter().rev() {
-            if e.seq >= seq {
-                continue;
-            }
+        for e in self.lsq.range(..older).rev() {
             if !e.is_store {
                 continue;
             }
@@ -929,16 +941,17 @@ impl Core {
     }
 
     fn lsq_mark_addr_known(&mut self, seq: u64) {
-        if let Some(e) = self.lsq.iter_mut().find(|e| e.seq == seq) {
-            e.addr_known = true;
+        if let Ok(i) = self.lsq.binary_search_by_key(&seq, |e| e.seq) {
+            self.lsq[i].addr_known = true;
         }
     }
 
-    fn lsq_remove(&mut self, seq: u64) {
-        if let Some(pos) = self.lsq.iter().position(|e| e.seq == seq) {
-            self.lsq.remove(pos);
-            self.activity.bump(Block::Lsq);
-        }
+    /// Retires the committing memory op's LSQ entry. Commit is in order
+    /// and every memory op has an entry, so it is always the LSQ head.
+    fn lsq_pop_committed(&mut self, seq: u64) {
+        let head = self.lsq.pop_front();
+        debug_assert_eq!(head.map(|e| e.seq), Some(seq), "committing memory op is the LSQ head");
+        self.activity.bump(Block::Lsq);
     }
 
     // ------------------------------------------------------------------
@@ -948,19 +961,14 @@ impl Core {
     fn dispatch(&mut self) {
         let mut n = 0;
         while n < self.cfg.decode_width {
-            let Some(&(ready_at, _)) = self.frontend.front().map(|(c, u)| (c, u)).as_ref() else {
-                break;
-            };
+            let Some((ready_at, uop)) = self.frontend.front() else { break };
             if *ready_at > self.cycle {
                 break;
             }
             if self.ruu.len() >= self.cfg.ruu_size {
                 break;
             }
-            let is_mem = matches!(
-                self.frontend.front().expect("checked").1.inst.op.class(),
-                OpClass::Load | OpClass::Store
-            );
+            let is_mem = matches!(uop.inst.op.class(), OpClass::Load | OpClass::Store);
             if is_mem && self.lsq.len() >= self.cfg.lsq_size {
                 break;
             }
@@ -976,8 +984,11 @@ impl Core {
         let inst = uop.inst;
         let class = inst.op.class();
 
-        // Resolve register dependences through the rename map.
+        // Resolve register dependences through the rename map, and put
+        // this entry on the consumer list of each pending producer (once
+        // per producer).
         let mut deps: [Option<u64>; 2] = [None, None];
+        let mut next_consumer = [NO_LINK; 2];
         let mut di = 0;
         let mut regfile_reads = 0u32;
         let front = self.ruu.front().map(|e| e.seq).unwrap_or(seq);
@@ -985,8 +996,12 @@ impl Core {
             match this.rename_map[arch] {
                 Some(producer) => {
                     let idx = (producer - front) as usize;
-                    if this.ruu.get(idx).map(|e| !e.completed).unwrap_or(false) {
+                    if let Some(p) = this.ruu.get_mut(idx).filter(|e| !e.completed) {
                         if di < 2 {
+                            if deps[0] != Some(producer) {
+                                next_consumer[di] = p.consumers;
+                                p.consumers = 2 * seq + di as u64;
+                            }
                             deps[di] = Some(producer);
                             di += 1;
                         }
@@ -1034,6 +1049,8 @@ impl Core {
             uop,
             class,
             deps,
+            consumers: NO_LINK,
+            next_consumer,
             issued: false,
             completed: false,
             complete_cycle: 0,
@@ -1212,6 +1229,73 @@ mod tests {
     use super::*;
     use tdtm_isa::asm::assemble;
 
+    impl Core {
+        /// The seqs on the consumer list of the entry at RUU index `i`, in
+        /// list order; panics if the list names a seq outside the window.
+        fn consumers_of(&self, i: usize) -> Vec<u64> {
+            let front_seq = self.ruu[0].seq;
+            let mut seqs = Vec::new();
+            let mut link = self.ruu[i].consumers;
+            while link != NO_LINK {
+                let c = link >> 1;
+                assert!(
+                    c > self.ruu[i].seq && c - front_seq < self.ruu.len() as u64,
+                    "cycle {}: consumer {c} outside the window",
+                    self.cycle
+                );
+                seqs.push(c);
+                link = self.ruu[(c - front_seq) as usize].next_consumer[(link & 1) as usize];
+            }
+            seqs
+        }
+
+        /// Asserts the event-driven writeback bookkeeping against the
+        /// window it summarizes: the completion queue, the consumer lists
+        /// and the ready list each hold exactly what a scan of the RUU
+        /// would find.
+        fn check_invariants(&self) {
+            let live = |s: u64| self.ruu.front().is_some_and(|f| s >= f.seq)
+                && self.ruu.back().is_some_and(|b| s <= b.seq);
+            let entry = |s: u64| &self.ruu[(s - self.ruu[0].seq) as usize];
+
+            assert!(self.completions.is_sorted_by(|a, b| a > b), "queue out of order");
+            let mut queued = self.completions.clone();
+            queued.sort_unstable();
+            let mut in_flight: Vec<(u64, u64)> = self
+                .ruu
+                .iter()
+                .filter(|e| e.issued && !e.completed)
+                .map(|e| (e.complete_cycle, e.seq))
+                .collect();
+            in_flight.sort_unstable();
+            assert_eq!(queued, in_flight, "cycle {}: queue != in-flight entries", self.cycle);
+
+            for (i, e) in self.ruu.iter().enumerate() {
+                for p in e.deps.iter().flatten().copied() {
+                    assert!(live(p) && !entry(p).completed, "seq {} waits on dead {p}", e.seq);
+                    let list = self.consumers_of((p - self.ruu[0].seq) as usize);
+                    let times = list.iter().filter(|&&c| c == e.seq).count();
+                    assert_eq!(times, 1, "seq {} registered {times}x with producer {p}", e.seq);
+                }
+                let list = self.consumers_of(i);
+                assert!(list.is_sorted_by(|a, b| a > b), "list of {} not youngest first", e.seq);
+                assert!(!e.completed || list.is_empty(), "completed {} kept consumers", e.seq);
+                for c in list {
+                    assert!(entry(c).deps.contains(&Some(e.seq)), "{c} does not wait on {}", e.seq);
+                }
+            }
+
+            let ready: Vec<u64> =
+                self.ruu.iter().filter(|e| e.ready() && !e.issued).map(|e| e.seq).collect();
+            assert_eq!(self.ready_unissued, ready, "cycle {}: ready list drifted", self.cycle);
+        }
+    }
+
+    /// Runs `src` to completion, checking the writeback bookkeeping after
+    /// every cycle — so the kernels below (mispredicting branches,
+    /// store-to-load forwarding, a cold-miss chase, `mul x2, x2, x2`)
+    /// exercise recovery, the LSQ, long latencies and a producer named
+    /// twice against it.
     fn run_to_completion(src: &str) -> Core {
         let p = assemble(src).expect("assembles");
         let mut core = Core::new(CoreConfig::alpha21264_like(), &p);
@@ -1220,6 +1304,7 @@ mod tests {
                 return core;
             }
             core.cycle();
+            core.check_invariants();
         }
         panic!("program did not finish; committed={}", core.stats().committed);
     }

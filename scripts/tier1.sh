@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate (see ROADMAP.md): build, full test suite, and strict lints
-# on the crates the experiment engine leans on. Run from anywhere; the
-# script cd's to the repo root.
+# on the crates the experiment engine and the cycle loop lean on. Run
+# from anywhere; the script cd's to the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,8 +11,8 @@ cargo build --release --workspace
 echo "== tier 1: tests =="
 cargo test -q --workspace
 
-echo "== tier 1: clippy (tdtm-core, tdtm-thermal) =="
-cargo clippy -p tdtm-core -p tdtm-thermal --all-targets -- -D warnings
+echo "== tier 1: clippy (tdtm-core, tdtm-thermal, tdtm-uarch) =="
+cargo clippy -p tdtm-core -p tdtm-thermal -p tdtm-uarch --all-targets -- -D warnings
 
 echo "== tier 1: docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
