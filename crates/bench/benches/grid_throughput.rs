@@ -1,20 +1,16 @@
 //! Whole-grid fleet throughput: cells per second of the paper's 18 × 5
 //! result grid (every suite benchmark crossed with five DTM policies on
-//! a hot 107 C heatsink) through `ExperimentGrid::run_threads` — the
-//! quantity the batched SoA dispatch optimizes and the one
-//! `BENCH_grid.json` pins.
+//! a hot 107 C heatsink) through the uncached engine dispatch — the
+//! quantity `BENCH_grid.json` pins.
 //!
-//! Two rows, both normalized to ns per grid cell (grid wall time over
-//! cell count, so lower is better and the checker's ratio convention
-//! holds):
+//! One row, normalized to ns per grid cell (grid wall time over cell
+//! count, so lower is better and the checker's ratio convention holds):
 //!
-//! - `grid18x5_ref_ns_per_cell`: the per-cell reference dispatch (one
-//!   `Simulator::run` per cell, batching off).
-//! - `grid18x5_batch_ns_per_cell`: the batched SoA dispatch (eligible
-//!   cells packed into lockstep `ThermalBatch` groups).
+//! - `grid18x5_ref_ns_per_cell`: `ExperimentGrid::run_threads_uncached`
+//!   (one `GridCell::run_chip` per cell, no result cache).
 //!
 //! The committed baseline also carries a `*_before` row — the per-cell
-//! dispatch measured before this optimization round, kept for the
+//! dispatch measured before the ready-list core scheduler, kept for the
 //! speedup record; `--check` ignores rows the current run does not
 //! produce.
 //!
@@ -58,12 +54,12 @@ fn grid() -> ExperimentGrid {
 
 /// Times whole grid executions on [`THREADS`] workers, normalized to ns
 /// per cell, and prints the fleet rate in cells per second.
-fn bench_grid(h: &mut Harness, name: &str, batching: bool, reps: u32) {
+fn bench_grid(h: &mut Harness, name: &str, reps: u32) {
     let grid = grid();
     let cells = grid.len() as f64;
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let results = grid.run_threads_with_batching(THREADS, batching);
+        let results = grid.run_threads_uncached(THREADS);
         assert_eq!(results.runs.len(), grid.len());
         black_box(&results.runs);
         best = best.min(results.wall_seconds);
@@ -117,8 +113,7 @@ fn main() {
     let reps = if quick { 1 } else { 3 };
     let mut h = Harness::new();
 
-    bench_grid(&mut h, "grid18x5_ref_ns_per_cell", false, reps);
-    bench_grid(&mut h, "grid18x5_batch_ns_per_cell", true, reps);
+    bench_grid(&mut h, "grid18x5_ref_ns_per_cell", reps);
 
     if let Some(i) = args.iter().position(|a| a == "--json") {
         let path = args.get(i + 1).expect("--json needs a path");

@@ -1,8 +1,8 @@
 //! `trace_run` — dump an annotated in-run telemetry trace for any
 //! workload×policy cell.
 //!
-//! Runs one simulation with full telemetry (event ring + metrics registry
-//! + phase timers) and prints the run summary, the host-time phase
+//! Runs one simulation with full telemetry (event ring, metrics registry
+//! and phase timers) and prints the run summary, the host-time phase
 //! profile, the merged metrics, and the retained event trace as JSONL
 //! (or CSV with `--csv`). This is the interactive complement to the
 //! figure binaries: where they aggregate, this answers "what did the

@@ -1,9 +1,9 @@
 //! Content-addressed result cache: cross-run memoization for grid cells.
 //!
 //! ROADMAP item 4 (experiment service mode) needs repeat and overlapping
-//! capacity-planning queries to be near-free. PR 8 made the cacheable
-//! artifacts exact — [`RunReport`]s are byte-identical across threads,
-//! batching, and skipping — so memoization can be *exact*, not
+//! capacity-planning queries to be near-free. The cacheable artifacts
+//! are exact — [`RunReport`]s are byte-identical across thread counts
+//! and idle-gap skipping — so memoization can be *exact*, not
 //! approximate: a cache hit replays the identical bytes a fresh
 //! simulation would produce.
 //!
@@ -38,8 +38,8 @@
 //! then share the artifact. Identical cells within one grid therefore
 //! simulate once.
 //!
-//! Set `TDTM_CACHE=0` to opt out entirely (mirroring `TDTM_BATCH` /
-//! `TDTM_SKIP`); the engine then takes exactly the pre-cache paths.
+//! Set `TDTM_CACHE=0` to opt out entirely (mirroring `TDTM_SKIP`); the
+//! engine then takes exactly the pre-cache paths.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -466,7 +466,7 @@ impl ResultCache {
     }
 
     /// Whether `TDTM_CACHE` leaves the cache enabled (on unless `0` or
-    /// `off`, mirroring `TDTM_BATCH`/`TDTM_SKIP`).
+    /// `off`, mirroring `TDTM_SKIP`).
     pub fn enabled_in_env() -> bool {
         !matches!(
             std::env::var("TDTM_CACHE").ok().as_deref().map(str::trim),

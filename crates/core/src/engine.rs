@@ -61,16 +61,6 @@ pub fn thread_count() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Whether [`ExperimentGrid::run_threads`] uses the batched SoA path
-/// for eligible cells: on unless the `TDTM_BATCH` environment variable
-/// is `0` or `off`.
-fn batching_default() -> bool {
-    !matches!(
-        std::env::var("TDTM_BATCH").ok().as_deref().map(str::trim),
-        Some("0") | Some("off")
-    )
-}
-
 /// Applies `f` to every item of `items`, sharding the work across
 /// `threads` scoped worker threads. Workers pull items from a shared
 /// atomic cursor (so uneven cell costs still balance), but the returned
@@ -119,7 +109,7 @@ where
 }
 
 /// Assembles one cell's [`RunResult`] from its report — the shared
-/// tail of the solo, batched, cached, and follower paths.
+/// tail of the simulated, cached, and follower paths.
 fn result_from_report(cell: &GridCell, report: RunReport, wall: f64) -> RunResult {
     RunResult {
         index: cell.index,
@@ -130,79 +120,6 @@ fn result_from_report(cell: &GridCell, report: RunReport, wall: f64) -> RunResul
         report,
         extra: (),
     }
-}
-
-/// Runs a set of cells with batched dispatch: consecutive batch-eligible
-/// cells pack into lockstep SoA batches ([`crate::batch`], up to
-/// [`crate::batch::BATCH_LANES`] per work item; a trailing group of one
-/// stays solo — the chunked fast loop is cheaper for a lone cell), and
-/// everything else runs the per-cell chip path. `publish` runs in the
-/// worker for each finished result (the cached path's publication hook;
-/// a no-op for plain runs). Results come back in completion order —
-/// callers sort or index by [`RunResult::index`].
-fn run_cells_batched(
-    cells: &[&GridCell],
-    threads: usize,
-    publish: &(dyn Fn(&RunResult) + Sync),
-) -> Vec<RunResult> {
-    enum Item<'a> {
-        Solo(&'a GridCell),
-        Group(Vec<&'a GridCell>),
-    }
-    let mut items: Vec<Item> = Vec::new();
-    let mut group: Vec<&GridCell> = Vec::new();
-    for &cell in cells {
-        if crate::batch::batch_eligible(&cell.config()) {
-            group.push(cell);
-            if group.len() == crate::batch::BATCH_LANES {
-                items.push(Item::Group(std::mem::take(&mut group)));
-            }
-        } else {
-            items.push(Item::Solo(cell));
-        }
-    }
-    match group.len() {
-        0 => {}
-        1 => items.push(Item::Solo(group[0])),
-        _ => items.push(Item::Group(group)),
-    }
-
-    let sharded = shard_map(&items, threads, |_, item| match item {
-        Item::Solo(cell) => {
-            let start = Instant::now();
-            let (report, _chip) = cell.run_chip();
-            let wall = start.elapsed().as_secs_f64();
-            let run = result_from_report(cell, report, wall);
-            publish(&run);
-            vec![run]
-        }
-        Item::Group(cells) => {
-            let start = Instant::now();
-            let mut batch = crate::batch::GridBatch::new();
-            for cell in cells {
-                batch.push(cell);
-            }
-            let reports = batch.run();
-            // Lanes finish at their own stop conditions inside one
-            // lockstep run, so per-cell wall time is not separable;
-            // each cell is charged an even share (wall_seconds is
-            // nondeterministic and never part of identity pins).
-            let wall = start.elapsed().as_secs_f64() / cells.len() as f64;
-            reports
-                .into_iter()
-                .map(|(index, report)| {
-                    let cell = cells
-                        .iter()
-                        .find(|c| c.index == index)
-                        .expect("report keyed by a pushed cell");
-                    let run = result_from_report(cell, report, wall);
-                    publish(&run);
-                    run
-                })
-                .collect()
-        }
-    });
-    sharded.into_iter().flatten().collect()
 }
 
 /// One cell of an [`ExperimentGrid`]: a workload under a policy with a
@@ -532,63 +449,36 @@ impl ExperimentGrid {
     /// a multicore chip run on the chip simulator (reporting core 0);
     /// everything else takes the single-core path.
     ///
-    /// Uninstrumented single-core cells are additionally packed into
-    /// SoA thermal batches ([`crate::batch`]) and advanced in lockstep,
-    /// up to [`crate::batch::BATCH_LANES`] per work item — a host-side
-    /// execution strategy that leaves every report byte-identical to
-    /// the per-cell path (pinned by `tests/engine.rs`). Set
-    /// `TDTM_BATCH=0` to force the per-cell reference path.
-    ///
     /// Runs through the process-wide content-addressed result cache
     /// ([`ResultCache::global`]) unless `TDTM_CACHE=0`: previously
     /// simulated cells replay their byte-identical report without
     /// simulating, and identical cells within the grid simulate once.
     pub fn run_threads(&self, threads: usize) -> GridResults {
         match ResultCache::global() {
-            Some(cache) => self.run_threads_cached(threads, batching_default(), cache),
-            None => self.run_threads_with_batching(threads, batching_default()),
+            Some(cache) => self.run_threads_cached(threads, cache),
+            None => self.run_threads_uncached(threads),
         }
     }
 
-    /// [`run_threads`](ExperimentGrid::run_threads) with the batched
-    /// dispatch chosen explicitly instead of from `TDTM_BATCH`, and no
-    /// result cache — the exact reference path identity tests and
-    /// benchmarks compare against.
-    pub fn run_threads_with_batching(&self, threads: usize, batching: bool) -> GridResults {
-        if !batching {
-            return self.run_with_threads(threads, |cell| {
-                let (report, _chip) = cell.run_chip();
-                (report, ())
-            });
-        }
-        let cells = self.cells();
-        let grid_start = Instant::now();
-        let cell_refs: Vec<&GridCell> = cells.iter().collect();
-        let mut runs = run_cells_batched(&cell_refs, threads, &|_| {});
-        runs.sort_by_key(|r| r.index);
-        GridResults {
-            runs,
-            threads,
-            wall_seconds: grid_start.elapsed().as_secs_f64(),
-            telemetry: None,
-            cache_stats: None,
-        }
+    /// [`run_threads`](ExperimentGrid::run_threads) without the result
+    /// cache: every cell simulates through [`GridCell::run_chip`] — the
+    /// reference path identity tests and benchmarks compare against.
+    pub fn run_threads_uncached(&self, threads: usize) -> GridResults {
+        self.run_with_threads(threads, |cell| {
+            let (report, _chip) = cell.run_chip();
+            (report, ())
+        })
     }
 
     /// [`run_threads`](ExperimentGrid::run_threads) against an explicit
     /// [`ResultCache`] (tests and benchmarks use their own instead of
     /// the process-wide one). Cached cells replay without simulating;
-    /// misses run on the usual solo/batched paths and publish their
+    /// misses run through [`GridCell::run_chip`] and publish their
     /// artifact as they complete; identical cells within the grid are
     /// deduped against the in-flight leader. Reports are byte-identical
-    /// to [`run_threads_with_batching`](ExperimentGrid::run_threads_with_batching)
+    /// to [`run_threads_uncached`](ExperimentGrid::run_threads_uncached)
     /// — pinned by `tests/engine.rs`.
-    pub fn run_threads_cached(
-        &self,
-        threads: usize,
-        batching: bool,
-        cache: &ResultCache,
-    ) -> GridResults {
+    pub fn run_threads_cached(&self, threads: usize, cache: &ResultCache) -> GridResults {
         let cells = self.cells();
         let grid_start = Instant::now();
         let fps = cache::cell_fingerprints(&cells);
@@ -629,27 +519,19 @@ impl ExperimentGrid {
         }
         stats.cache_misses = miss_cells.len() as u64;
 
-        // Simulate the misses on the normal paths, publishing each
-        // artifact the moment its cell completes (so concurrent grids
-        // sharing the cache can hit it while this grid still runs).
-        let publish = |run: &RunResult| {
+        // Simulate the misses, publishing each artifact the moment its
+        // cell completes (so concurrent grids sharing the cache can hit
+        // it while this grid still runs).
+        let miss_runs = shard_map(&miss_cells, threads, |_, cell| {
+            let start = Instant::now();
+            let (report, _chip) = cell.run_chip();
+            let run = result_from_report(cell, report, start.elapsed().as_secs_f64());
             cache.publish(
                 fps[run.index],
                 CellArtifact { report: run.report.clone(), record: None },
             );
-        };
-        let miss_runs = if batching {
-            run_cells_batched(&miss_cells, threads, &publish)
-        } else {
-            shard_map(&miss_cells, threads, |_, cell| {
-                let start = Instant::now();
-                let (report, _chip) = cell.run_chip();
-                let wall = start.elapsed().as_secs_f64();
-                let run = result_from_report(cell, report, wall);
-                publish(&run);
-                run
-            })
-        };
+            run
+        });
         for run in miss_runs {
             let i = run.index;
             runs[i] = Some(run);

@@ -38,7 +38,6 @@
 //! assert!(report.committed >= 30_000);
 //! ```
 
-pub mod batch;
 pub mod cache;
 pub mod config;
 pub mod engine;

@@ -27,27 +27,11 @@ pub(crate) const NUM_THERMAL: usize = 7;
 pub(crate) const MIN_SKIP_WINDOW: u64 = 4;
 
 /// Whether the fast loops fast-forward across provably-idle windows:
-/// on unless the `TDTM_SKIP` environment variable is `0` or `off`
-/// (mirroring `TDTM_BATCH` for the SoA grid path).
+/// on unless the `TDTM_SKIP` environment variable is `0` or `off`.
 pub(crate) fn skip_default() -> bool {
     !matches!(
         std::env::var("TDTM_SKIP").ok().as_deref().map(str::trim),
         Some("0") | Some("off")
-    )
-}
-
-/// Whether skipped *uncounted* windows use the approximate `powf`
-/// closed form instead of the bit-exact iterated fold: off unless
-/// `TDTM_SKIP_CLOSED` is `1` or `on`. Opt-in because it rounds
-/// differently from the per-cycle recurrence and therefore breaks
-/// byte-identity with the reference loop.
-pub(crate) fn closed_form_default() -> bool {
-    matches!(
-        std::env::var("TDTM_SKIP_CLOSED")
-            .ok()
-            .as_deref()
-            .map(str::trim),
-        Some("1") | Some("on")
     )
 }
 
@@ -151,9 +135,6 @@ pub struct Simulator {
     /// Fast-forwards the fast loop across provably-idle windows (see
     /// [`set_skip`](Simulator::set_skip); defaults from `TDTM_SKIP`).
     skip: bool,
-    /// Uses the approximate closed form for *uncounted* skipped windows
-    /// (see [`set_skip_closed`](Simulator::set_skip_closed)).
-    skip_closed: bool,
     /// Records one [`SkipWindow`] per fast-forwarded window when enabled
     /// (off by default so long runs don't grow a log nobody reads).
     log_skip_windows: bool,
@@ -776,7 +757,6 @@ impl Simulator {
             collected: None,
             reference_loop: false,
             skip: skip_default(),
-            skip_closed: closed_form_default(),
             log_skip_windows: false,
             skip_windows: Vec::new(),
             cfg,
@@ -907,16 +887,6 @@ impl Simulator {
     /// `tests/hot_loop_identity.rs`).
     pub fn set_skip(&mut self, on: bool) {
         self.skip = on;
-    }
-
-    /// Opts *uncounted* skipped windows into the `powf` closed form
-    /// (one exponentiation instead of a k-cycle fold), overriding the
-    /// `TDTM_SKIP_CLOSED` default. The closed form rounds differently
-    /// from the per-cycle recurrence, so this trades byte-identity for
-    /// speed; the drift is property-tested to stay within
-    /// `1e-9 · max(T − heatsink, 1)` per window.
-    pub fn set_skip_closed(&mut self, on: bool) {
-        self.skip_closed = on;
     }
 
     /// Enables skip-window logging for the next [`run`](Simulator::run):
@@ -1098,8 +1068,6 @@ impl Simulator {
                                         stress,
                                     );
                                 });
-                            } else if self.skip_closed {
-                                self.thermal.step_gap_closed(&gap_powers, k);
                             } else {
                                 self.thermal.step_gap_fixed(&gap_powers, k);
                             }

@@ -264,8 +264,8 @@ pub fn json_f64(v: f64) -> String {
 /// Minimal recursive-descent parser for the JSON subset this crate emits:
 /// objects, arrays, strings, numbers, booleans, null. No external
 /// dependencies — the workspace is std-only and offline. Public so other
-/// crates' artifact formats (e.g. the `tdtm-core` result cache and the
-/// compact-model store) can parse without a second JSON implementation.
+/// crates' artifact formats (e.g. the `tdtm-core` result cache) can
+/// parse without a second JSON implementation.
 pub mod json {
     /// Parsed JSON value (subset; arrays are accepted but only as opaque
     /// nesting — the stream format does not use them).

@@ -121,15 +121,6 @@ impl BlockModel {
         self.dt
     }
 
-    /// The precomputed per-block decay factors `e^{-dt/RC}`, in block
-    /// order. Exposed so batch steppers ([`crate::batch::ThermalBatch`])
-    /// can pack the *exact* factors this model would use — recomputing
-    /// them from R and C would be bit-identical today, but copying removes
-    /// the coupling between the two code paths entirely.
-    pub fn decay_factors(&self) -> &[f64] {
-        &self.decay
-    }
-
     /// Changes the heatsink temperature (e.g. to model long-term drift
     /// between experiments).
     pub fn set_heatsink(&mut self, heatsink: Celsius) {
@@ -328,35 +319,6 @@ impl BlockModel {
                 temps[i] = t_ss[i] + (temps[i] - t_ss[i]) * decay[i];
             }
             observe(temps);
-        }
-    }
-
-    /// Advances `cycles` steps under constant per-block powers in closed
-    /// form: `T ← T_ss + (T − T_ss)·d^k` with the gap decay computed by
-    /// `pow` instead of `k` multiplications.
-    ///
-    /// **Not** bit-identical to the iterated kernels — `pow` rounds
-    /// differently than a product chain — but accurate to within a few
-    /// ulps of the excess over steady state (pinned by a tolerance
-    /// property test), and O(1) in the gap length. Callers that guarantee
-    /// byte-identical reports must only use this for cycles outside every
-    /// measured window, and only behind an explicit opt-in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model does not have exactly `N` blocks.
-    pub fn step_gap_closed<const N: usize>(&mut self, powers: &[Watts; N], cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
-        let BlockModel { params, temps, heatsink, decay, .. } = self;
-        let temps: &mut [f64; N] = temps.as_mut_slice().try_into().expect("one power per block");
-        let decay: &[f64; N] = decay.as_slice().try_into().expect("one decay per block");
-        assert_eq!(params.len(), N, "one power per block");
-        for i in 0..N {
-            let t_ss = *heatsink + powers[i] * params[i].r;
-            let gap_decay = decay[i].powf(cycles as f64);
-            temps[i] = t_ss + (temps[i] - t_ss) * gap_decay;
         }
     }
 
@@ -722,44 +684,6 @@ mod tests {
             assert_eq!(reference, observed);
             assert_eq!(a.temperatures(), b.temperatures());
         }
-    }
-
-    #[test]
-    fn property_step_gap_closed_tracks_iterated_within_tolerance() {
-        // The pow-based closed form is *approximate* (different rounding
-        // than the product chain), so it is pinned to a tolerance scaled
-        // by the excess over steady state, not to bits.
-        let mut rng = tdtm_prng::Rng::new(0x6A9_0006);
-        for _ in 0..100 {
-            let mut iterated = random_model(&mut rng);
-            let mut closed = iterated.clone();
-            let powers = random_powers(&mut rng);
-            let cycles = 1 + (rng.next_f64() * 2000.0) as u64;
-            for _ in 0..cycles {
-                iterated.step_fixed(&powers);
-            }
-            closed.step_gap_closed(&powers, cycles);
-            for (i, &p) in powers.iter().enumerate() {
-                let t_ss = iterated.steady_state(i, p);
-                let excess = (iterated.temperatures()[i] - t_ss).abs().max(1.0);
-                let d = (iterated.temperatures()[i] - closed.temperatures()[i]).abs();
-                assert!(
-                    d <= 1e-9 * excess,
-                    "block {i}, k={cycles}: closed {} vs iterated {} (excess {excess})",
-                    closed.temperatures()[i],
-                    iterated.temperatures()[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn step_gap_closed_with_zero_cycles_is_a_no_op() {
-        let mut m = two_block_model();
-        m.set_temperature(0, 104.5);
-        let before = m.temperatures().to_vec();
-        m.step_gap_closed(&[5.0, 2.0], 0);
-        assert_eq!(m.temperatures(), &before[..]);
     }
 
     #[test]

@@ -36,24 +36,18 @@
 //! assert!((net.temperature(die) - 77.0).abs() < 0.1);
 //! ```
 
-pub mod batch;
 pub mod block_model;
 pub mod boxcar;
 pub mod chipwide;
 pub mod comparison;
 pub mod duality;
 pub mod floorplan;
-pub mod modelcache;
 pub mod multicore;
 pub mod network;
-pub mod reduction;
 pub mod silicon;
 
-pub use batch::ThermalBatch;
 pub use block_model::{BlockModel, BlockParams};
 pub use multicore::{CoupledChip, CouplingEdge, MulticoreFloorplan};
-pub use modelcache::{network_fingerprint, ModelCache};
-pub use reduction::CompactModel;
 pub use boxcar::BoxcarProxy;
 pub use chipwide::ChipWideModel;
 pub use silicon::SiliconProperties;

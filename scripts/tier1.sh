@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate (see ROADMAP.md): build, full test suite, and strict lints
-# on the crates the experiment engine and the cycle loop lean on. Run
-# from anywhere; the script cd's to the repo root.
+# on the whole workspace. Run from anywhere; the script cd's to the repo
+# root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,8 +11,8 @@ cargo build --release --workspace
 echo "== tier 1: tests =="
 cargo test -q --workspace
 
-echo "== tier 1: clippy (tdtm-core, tdtm-thermal, tdtm-uarch) =="
-cargo clippy -p tdtm-core -p tdtm-thermal -p tdtm-uarch --all-targets -- -D warnings
+echo "== tier 1: clippy (whole workspace, all targets) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier 1: docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -86,8 +86,8 @@ echo "$ON_ERR" | grep -E '^skipped idle windows .* [1-9][0-9]* windows' > /dev/n
 diff <(echo "$SKIP_ON") <(echo "$SKIP_OFF") || { echo "idle-gap skipping perturbed the run"; exit 1; }
 
 echo "== tier 1: grid throughput smoke (grid_throughput vs BENCH_grid.json) =="
-# Full 18x5 hot grid through both dispatches (reference and batched SoA);
-# fails if either regresses >3x against the committed cells/sec baseline.
+# Full 18x5 hot grid through the uncached per-cell dispatch; fails if it
+# regresses >3x against the committed cells/sec baseline.
 cargo bench -p tdtm-bench --bench grid_throughput -- --quick --check "$PWD/BENCH_grid.json"
 
 echo "== tier 1: warm-repeat throughput smoke (grid_repeat_throughput vs BENCH_grid.json) =="
@@ -95,10 +95,5 @@ echo "== tier 1: warm-repeat throughput smoke (grid_repeat_throughput vs BENCH_g
 # through the content-addressed result cache; self-gates warm-mem >= 5x
 # cold cells/s and fails on >3x regression vs the committed rows.
 cargo bench -p tdtm-bench --bench grid_repeat_throughput -- --quick --check "$PWD/BENCH_grid.json"
-
-echo "== tier 1: reduction accuracy smoke (Table-3 compact extraction) =="
-# Extracts the Table-3 floorplan into a compact model and asserts the
-# truncation error bound and full-solver agreement hold at tol = 10.
-cargo test -q --release -p tdtm-thermal --lib table3_floorplan_extracts_and_tracks -- --exact reduction::tests::table3_floorplan_extracts_and_tracks
 
 echo "tier 1: OK"

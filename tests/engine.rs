@@ -31,8 +31,8 @@ fn one_thread_reproduces_many_threads_byte_for_byte() {
     // `run_threads` call would replay the first run's reports and this
     // test would stop exercising thread-count determinism.
     let grid = small_grid();
-    let serial = grid.run_threads_with_batching(1, true);
-    let parallel = grid.run_threads_with_batching(4, true);
+    let serial = grid.run_threads_uncached(1);
+    let parallel = grid.run_threads_uncached(4);
     assert_eq!(serial.threads, 1);
     assert_eq!(parallel.threads, 4);
 
@@ -46,30 +46,6 @@ fn one_thread_reproduces_many_threads_byte_for_byte() {
         assert_eq!(a.obs.thermal_steps, b.obs.thermal_steps);
         assert_eq!(a.obs.committed, b.obs.committed);
         assert_eq!(a.obs.dtm_samples, b.obs.dtm_samples);
-    }
-}
-
-#[test]
-fn batched_dispatch_reports_byte_identically_to_the_per_cell_path() {
-    // `run_threads` packs eligible single-core cells into SoA thermal
-    // batches; `small_grid` mixes them with supervised two-core chip
-    // cells that must fall back to the per-cell path. Whatever the
-    // dispatch, the reports are byte-identical (the Debug rendering
-    // distinguishes every bit pattern short of NaN).
-    let grid = small_grid();
-    let batched = grid.run_threads_with_batching(4, true);
-    let reference = grid.run_threads_with_batching(1, false);
-    assert_eq!(batched.runs.len(), reference.runs.len());
-    for (b, r) in batched.runs.iter().zip(&reference.runs) {
-        assert_eq!(b.index, r.index);
-        assert_eq!(b.report, r.report, "cell {} diverged under batching", b.label());
-        assert_eq!(
-            format!("{:?}", b.report),
-            format!("{:?}", r.report),
-            "cell {}: bit patterns differ under batching",
-            b.label()
-        );
-        assert!(b.obs.deterministic_eq(&r.obs), "cell {}: observability diverged", b.label());
     }
 }
 
@@ -140,9 +116,9 @@ fn cached_rerun_replays_byte_identical_reports() {
     // of NaN).
     let grid = small_grid();
     let cache = ResultCache::in_memory();
-    let reference = grid.run_threads_with_batching(1, false);
-    let cold = grid.run_threads_cached(4, true, &cache);
-    let warm = grid.run_threads_cached(4, true, &cache);
+    let reference = grid.run_threads_uncached(1);
+    let cold = grid.run_threads_cached(4, &cache);
+    let warm = grid.run_threads_cached(4, &cache);
 
     let n = reference.runs.len() as u64;
     let cold_stats = cold.cache_stats.expect("cached run reports stats");
@@ -181,7 +157,7 @@ fn identical_cells_within_a_grid_simulate_once() {
         .policies(&[PolicyKind::None, PolicyKind::Pid])
         .variants(&[("base", |_| {}), ("twin", |_| {})]);
     let cache = ResultCache::in_memory();
-    let results = grid.run_threads_cached(4, true, &cache);
+    let results = grid.run_threads_cached(4, &cache);
     let stats = results.cache_stats.expect("cached run reports stats");
     assert_eq!(stats.cache_misses, 2, "one simulation per distinct fingerprint");
     assert_eq!(stats.cache_hits, 2, "each twin replays its leader");

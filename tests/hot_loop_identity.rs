@@ -69,11 +69,12 @@ fn fast_loop_matches_reference_loop_without_warm_start() {
 }
 
 #[test]
-fn batched_soa_stepping_matches_both_loops_across_policies() {
-    // The engine's third execution strategy: eligible cells run in
-    // lockstep over a shared SoA thermal batch (`tdtm_core::batch`).
-    // For every policy the batched grid report must be byte-identical
-    // to the cell's own fast- and reference-loop runs.
+fn engine_dispatch_matches_both_loops_across_policies() {
+    // A grid cell runs through the engine's own dispatch
+    // (`GridCell::run_chip`, which builds the cell's config and picks the
+    // simulator), not through `run_with`. For every policy its report
+    // must be byte-identical to the same cell's fast- and reference-loop
+    // runs.
     use tdtm::core::engine::ExperimentGrid;
     use tdtm::core::experiments::ExperimentScale;
 
@@ -84,16 +85,16 @@ fn batched_soa_stepping_matches_both_loops_across_policies() {
             cfg.max_insts = 120_000;
             cfg.heatsink_temp = 107.0;
         });
-    let batched = grid.run_threads_with_batching(1, true);
-    assert_eq!(batched.runs.len(), 4);
-    for run in &batched.runs {
+    let dispatched = grid.run_threads_uncached(1);
+    assert_eq!(dispatched.runs.len(), 4);
+    for run in &dispatched.runs {
         let (fast, _) = run_with(hot_cfg(run.policy), "gcc", false);
         let (reference, _) = run_with(hot_cfg(run.policy), "gcc", true);
-        assert_byte_identical(&run.report, &fast, &format!("batched vs fast, {:?}", run.policy));
+        assert_byte_identical(&run.report, &fast, &format!("engine vs fast, {:?}", run.policy));
         assert_byte_identical(
             &run.report,
             &reference,
-            &format!("batched vs reference, {:?}", run.policy),
+            &format!("engine vs reference, {:?}", run.policy),
         );
     }
 }
