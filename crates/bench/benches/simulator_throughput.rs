@@ -1,10 +1,10 @@
 //! End-to-end simulation throughput: cycles per second of the timing
 //! core alone, of the full core→power→thermal loop, and of whole
-//! uninstrumented `Simulator::run` executions — the quantity the
-//! run-plan fast path optimizes and the one `BENCH_simloop.json` pins.
+//! unobserved `Simulator::run` executions — the cycle loop monomorphized
+//! for the no-op observer, and the quantity `BENCH_simloop.json` pins.
 //!
 //! The `sim_run_*` rows time complete runs (no telemetry, no proxies, no
-//! traces — the run-plan fast path) normalized to ns per simulated
+//! traces — the no-op observer) normalized to ns per simulated
 //! cycle. Each exercises a distinct hot-loop regime:
 //!
 //! - `sim_run_gcc_none`: the plain chunked loop, no actuation.
@@ -196,7 +196,7 @@ fn main() {
         });
     }
 
-    // Whole uninstrumented runs (the run-plan fast path).
+    // Whole unobserved runs (the no-op observer).
     bench_run(&mut h, "sim_run_gcc_none", "gcc", &cell_config(PolicyKind::None, 103.0), reps, None);
     bench_run(&mut h, "sim_run_gcc_pid", "gcc", &cell_config(PolicyKind::Pid, 107.0), reps, None);
     bench_run(

@@ -160,8 +160,9 @@ fn main() {
     let tcfg = TelemetryConfig::full(args.capacity, args.stride);
 
     if chip_path {
-        let mut sim = MulticoreSim::for_workload(cfg.clone(), &workload);
+        let mut sim = MulticoreSim::for_workload(cfg, &workload);
         sim.enable_telemetry(&tcfg);
+        sim.record_skip_windows();
         let report = sim.run();
         let telemetry = sim.take_telemetry().expect("telemetry was enabled");
 
@@ -208,17 +209,11 @@ fn main() {
         }
         dump_events(&traces, args.csv, args.capacity);
 
-        // Instrumentation suppresses idle-gap skipping in the run above;
-        // replay the cell uninstrumented with window logging to show what
-        // the fast path fast-forwards (logging is off by default, so
-        // plain runs are never perturbed by this feature).
-        let mut replay = MulticoreSim::for_workload(cfg, &workload);
-        replay.record_skip_windows();
-        let replay_report = replay.run();
-        dump_skip_windows(replay.skip_windows(), replay_report.chip_cycles);
+        dump_skip_windows(sim.skip_windows(), report.chip_cycles);
     } else {
-        let mut sim = Simulator::for_workload(cfg.clone(), &workload);
+        let mut sim = Simulator::for_workload(cfg, &workload);
         sim.enable_telemetry(&tcfg);
+        sim.record_skip_windows();
         let report = sim.run();
         let telemetry = sim.take_telemetry().expect("telemetry was enabled");
 
@@ -248,25 +243,18 @@ fn main() {
             dump_events(&[("events".into(), events)], args.csv, args.capacity);
         }
 
-        // Telemetry routes through the reference loop, which never
-        // skips; replay the cell uninstrumented with window logging to
-        // show what the fast path fast-forwards (logging is off by
-        // default, so plain runs are never perturbed by this feature).
-        let mut replay = Simulator::for_workload(cfg, &workload);
-        replay.record_skip_windows();
-        let replay_report = replay.run();
-        dump_skip_windows(replay.skip_windows(), replay_report.total_cycles);
+        dump_skip_windows(sim.skip_windows(), report.total_cycles);
     }
 }
 
-/// Annotates the idle windows the uninstrumented fast path
-/// fast-forwarded: start/end cycle and the reason (gated fetch, drained
-/// pipeline, V/f resync, parked chip neighbors). Stderr like the other
-/// annotations, so event dumps redirect cleanly.
+/// Annotates the idle windows the run fast-forwarded (observed runs skip
+/// like unobserved ones): start/end cycle and the reason (gated fetch,
+/// drained pipeline, V/f resync, parked chip neighbors). Stderr like the
+/// other annotations, so event dumps redirect cleanly.
 fn dump_skip_windows(windows: &[tdtm_core::SkipWindow], total_cycles: u64) {
     let skipped: u64 = windows.iter().map(tdtm_core::SkipWindow::len).sum();
     eprintln!(
-        "\nskipped idle windows (uninstrumented replay): {} windows, {} of {} cycles ({:.1}%)",
+        "\nskipped idle windows in this run: {} windows, {} of {} cycles ({:.1}%)",
         windows.len(),
         skipped,
         total_cycles,

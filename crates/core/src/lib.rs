@@ -40,6 +40,7 @@
 
 pub mod cache;
 pub mod config;
+mod cycle;
 pub mod engine;
 pub mod experiments;
 pub mod metrics;

@@ -1,12 +1,14 @@
-//! The cycle loop: core → power → thermal → (every interval) DTM.
+//! The single-core simulator: one program under one configuration, run
+//! by the cycle loop it shares with the multicore chip, or by the
+//! per-cycle reference oracle.
 
 use crate::config::SimConfig;
-use crate::metrics::{BlockMetrics, RunReport};
+use crate::cycle::{leakage_peaks, CoreSlot, CycleView, Machine, NoObserver, Observer};
+use crate::metrics::RunReport;
 use crate::telemetry::{sim_metrics_registry, HIST_FETCH_DUTY, HIST_HOTTEST_TEMP};
-use std::collections::VecDeque;
 use std::time::Instant;
 use tdtm_control::pid::PidSample;
-use tdtm_dtm::{build_policy_at, DtmCommand, DtmPolicy, SensorModel, TriggerMechanism};
+use tdtm_dtm::{SensorModel, TriggerMechanism};
 use tdtm_isa::Program;
 use tdtm_power::PowerModel;
 use tdtm_telemetry::{
@@ -16,7 +18,7 @@ use tdtm_telemetry::{
 use tdtm_thermal::boxcar::BoxcarProxy;
 use tdtm_thermal::comparison::AgreementCounts;
 use tdtm_thermal::BlockModel;
-use tdtm_uarch::{Core, CoreControl, IdleKind};
+use tdtm_uarch::Core;
 use tdtm_workloads::Workload;
 
 pub(crate) const NUM_THERMAL: usize = 7;
@@ -26,7 +28,7 @@ pub(crate) const NUM_THERMAL: usize = 7;
 /// book-keep.
 pub(crate) const MIN_SKIP_WINDOW: u64 = 4;
 
-/// Whether the fast loops fast-forward across provably-idle windows:
+/// Whether the cycle loop fast-forwards across provably-idle windows:
 /// on unless the `TDTM_SKIP` environment variable is `0` or `off`.
 pub(crate) fn skip_default() -> bool {
     !matches!(
@@ -89,8 +91,13 @@ pub struct ProxyAttachment {
 #[derive(Clone, Debug)]
 enum ProxyKind {
     /// One boxcar per thermal block; triggers through the per-structure
-    /// thermal rule (avg power × R + heatsink vs. threshold).
-    PerStructure { boxcars: Vec<BoxcarProxy> },
+    /// thermal rule (avg power × R + heatsink vs. threshold), with the
+    /// blocks' resistances `rs`.
+    PerStructure {
+        boxcars: Vec<BoxcarProxy>,
+        rs: [f64; NUM_THERMAL],
+        heatsink: f64,
+    },
     /// One boxcar over total chip power with a watts threshold.
     ChipWide {
         boxcar: BoxcarProxy,
@@ -98,41 +105,53 @@ enum ProxyKind {
     },
 }
 
+impl ProxyAttachment {
+    /// Feeds one cycle's powers to the boxcars and, when counting, scores
+    /// the proxy's verdict against the RC temperatures.
+    fn record(&mut self, c: &CycleView) {
+        match &mut self.kind {
+            ProxyKind::PerStructure {
+                boxcars,
+                rs,
+                heatsink,
+            } => {
+                for i in 0..NUM_THERMAL {
+                    boxcars[i].push(c.powers[i]);
+                    if c.counting {
+                        let proxy_hot = boxcars[i].triggered_thermal(rs[i], *heatsink, c.emergency);
+                        self.counts[i].record(c.temps[i] > c.emergency, proxy_hot);
+                    }
+                }
+            }
+            ProxyKind::ChipWide {
+                boxcar,
+                threshold_w,
+            } => {
+                boxcar.push(c.total);
+                if c.counting {
+                    let reference_hot = c.temps.iter().any(|&t| t > c.emergency);
+                    self.counts[0].record(reference_hot, boxcar.triggered(*threshold_w));
+                }
+            }
+        }
+    }
+}
+
 /// A full simulation of one program under one configuration.
 pub struct Simulator {
     cfg: SimConfig,
-    core: Core,
+    slot: CoreSlot,
     power: std::sync::Arc<PowerModel>,
     thermal: BlockModel,
-    policy: Box<dyn DtmPolicy>,
-    sensors: SensorModel,
-    proxies: Vec<ProxyAttachment>,
-    name: String,
-    /// Commands awaiting their (interrupt-delayed) application cycle.
-    pending: VecDeque<(u64, DtmCommand)>,
-    /// Remaining stall cycles from a V/f resynchronization.
-    resync_remaining: u64,
-    /// Current V/f power scale (1.0 at nominal).
-    vf_power_scale: f64,
-    /// Current frequency scale (1.0 at nominal).
-    vf_freq_scale: f64,
-    vf_engaged: bool,
-    /// Per-run duty trace (sampled), for diagnostics.
-    duty_history: Vec<f64>,
-    /// Optional downsampled trace recording.
-    trace: Option<Trace>,
-    /// Optional power-trace recording (stride-mean block powers).
-    power_trace: Option<PowerTraceRecorder>,
-    /// Telemetry to collect on the next [`run`](Simulator::run); boxed so
-    /// the disabled path pays one pointer test per use site.
-    telemetry: Option<Box<TelemetryState>>,
+    /// What the next [`run`](Simulator::run) observes.
+    watch: Watch,
     /// Collected telemetry of the last run.
     collected: Option<Telemetry>,
-    /// Forces the instrumented reference loop even when a run qualifies
-    /// for the specialized fast loop (validation knob; see
+    /// Runs the per-cycle reference oracle instead of the cycle loop
+    /// (validation knob; see
     /// [`set_reference_loop`](Simulator::set_reference_loop)).
     reference_loop: bool,
-    /// Fast-forwards the fast loop across provably-idle windows (see
+    /// Fast-forwards provably-idle windows (see
     /// [`set_skip`](Simulator::set_skip); defaults from `TDTM_SKIP`).
     skip: bool,
     /// Records one [`SkipWindow`] per fast-forwarded window when enabled
@@ -142,13 +161,11 @@ pub struct Simulator {
     skip_windows: Vec<SkipWindow>,
 }
 
-/// In-flight telemetry collection: the collectors plus the cheap local
-/// accumulators and edge-detection state the run loop updates, flushed
-/// into the registry when the run ends.
-///
-/// Crate-visible so [`MulticoreSim`](crate::multicore::MulticoreSim) can
-/// keep one per core — every event it records is tagged with `core_id`
-/// (0 on the single-core path).
+/// In-flight telemetry collection for one core: the collectors plus the
+/// cheap local accumulators and edge-detection state the cycle loop
+/// updates, flushed into the registry when the run ends. Every event it
+/// records is tagged with `core_id` (0 on the single-core path).
+#[derive(Default)]
 pub(crate) struct TelemetryState {
     events: Option<EventTrace>,
     registry: Option<tdtm_telemetry::MetricsRegistry>,
@@ -158,35 +175,31 @@ pub(crate) struct TelemetryState {
     phases: bool,
     /// The core every event is tagged with.
     core_id: usize,
-    /// Per-block "currently above emergency" for entry/exit edges.
-    emerg: [bool; NUM_THERMAL],
-    /// Per-block "currently above stress".
-    stress: [bool; NUM_THERMAL],
+    /// Per-block "currently above" the emergency (0) and stress (1)
+    /// thresholds, for entry/exit edges.
+    above: [[bool; NUM_THERMAL]; 2],
     /// Plain local counters (flushed to the registry at run end — the run
     /// loop is single-threaded, so per-event atomics would be overhead).
     duty_changes: u64,
-    emergency_entries: u64,
-    stress_entries: u64,
+    /// Emergency (0) and stress (1) threshold entries.
+    entries: [u64; 2],
     sensor_reads: u64,
-    pub(crate) thermal_steps: u64,
-    supervisor_caps: u64,
-    park_transitions: u64,
-    /// Host-time accumulators for the non-pipeline phases.
-    power_nanos: u64,
-    power_calls: u64,
-    thermal_nanos: u64,
-    thermal_calls: u64,
-    controller_nanos: u64,
-    controller_calls: u64,
+    thermal_steps: u64,
+    /// Supervisor duty caps imposed on this core and its park
+    /// transitions (their events go to the chip-level ring).
+    pub(crate) supervisor_caps: u64,
+    pub(crate) park_transitions: u64,
+    /// Host time of the non-pipeline phases (power, thermal step,
+    /// controller).
+    profile: PhaseProfile,
+    /// The core's stage timers and cycle count when collection began.
+    stage_nanos_start: [u64; 6],
+    core_cycles_start: u64,
 }
 
 impl TelemetryState {
-    fn new(cfg: &TelemetryConfig) -> TelemetryState {
-        TelemetryState::with_core(cfg, 0)
-    }
-
-    /// A collector whose events are tagged with `core_id`.
-    pub(crate) fn with_core(cfg: &TelemetryConfig, core_id: usize) -> TelemetryState {
+    /// A collector for `core`, whose events are tagged with `core_id`.
+    pub(crate) fn with_core(cfg: &TelemetryConfig, core_id: usize, core: &Core) -> TelemetryState {
         let registry = cfg.metrics.then(sim_metrics_registry);
         let (temp_idx, duty_idx) = registry.as_ref().map_or((0, 0), |reg| {
             (
@@ -201,72 +214,41 @@ impl TelemetryState {
             duty_idx,
             phases: cfg.phases,
             core_id,
-            emerg: [false; NUM_THERMAL],
-            stress: [false; NUM_THERMAL],
-            duty_changes: 0,
-            emergency_entries: 0,
-            stress_entries: 0,
-            sensor_reads: 0,
-            thermal_steps: 0,
-            supervisor_caps: 0,
-            park_transitions: 0,
-            power_nanos: 0,
-            power_calls: 0,
-            thermal_nanos: 0,
-            thermal_calls: 0,
-            controller_nanos: 0,
-            controller_calls: 0,
+            stage_nanos_start: core.stage_nanos(),
+            core_cycles_start: core.stats().cycles,
+            ..TelemetryState::default()
         }
     }
 
-    /// Per-cycle threshold edge detection and temperature histogram.
-    ///
-    /// `hottest` is the per-cycle maximum temperature, computed once by
-    /// the run loop and passed through (this method used to refold it
-    /// from `temps`, duplicating the loop's scan).
-    pub(crate) fn observe_cycle(
-        &mut self,
-        cycle: u64,
-        temps: &[f64],
-        hottest: f64,
-        emergency: f64,
-        stress: f64,
-    ) {
+    /// Per-cycle thermal step count, threshold edge detection, and
+    /// hottest-block histogram.
+    pub(crate) fn observe_cycle(&mut self, cycle: u64, temps: &[f64], emergency: f64) {
+        self.thermal_steps += 1;
+        let thresholds = [
+            (ThresholdKind::Emergency, emergency),
+            (ThresholdKind::Stress, emergency - 1.0),
+        ];
         for (block, &t) in temps.iter().enumerate() {
-            let e_now = t > emergency;
-            if e_now != self.emerg[block] {
-                self.emerg[block] = e_now;
-                if e_now {
-                    self.emergency_entries += 1;
+            for (i, (threshold, level)) in thresholds.into_iter().enumerate() {
+                let entered = t > level;
+                if entered == self.above[i][block] {
+                    continue;
                 }
+                self.above[i][block] = entered;
+                self.entries[i] += u64::from(entered);
                 if let Some(trace) = &mut self.events {
                     trace.record(Event::ThermalEdge {
                         cycle,
                         core: self.core_id,
                         block,
-                        threshold: ThresholdKind::Emergency,
-                        entered: e_now,
-                    });
-                }
-            }
-            let s_now = t > stress;
-            if s_now != self.stress[block] {
-                self.stress[block] = s_now;
-                if s_now {
-                    self.stress_entries += 1;
-                }
-                if let Some(trace) = &mut self.events {
-                    trace.record(Event::ThermalEdge {
-                        cycle,
-                        core: self.core_id,
-                        block,
-                        threshold: ThresholdKind::Stress,
-                        entered: s_now,
+                        threshold,
+                        entered,
                     });
                 }
             }
         }
         if let Some(reg) = &self.registry {
+            let hottest = temps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             reg.histogram_at(self.temp_idx).record(hottest);
         }
     }
@@ -339,36 +321,17 @@ impl TelemetryState {
         }
     }
 
-    /// Counts a supervisor duty cap imposed on this core (the event
-    /// itself goes to the chip-level ring, owned by `MulticoreSim`).
-    pub(crate) fn bump_supervisor_cap(&mut self) {
-        self.supervisor_caps += 1;
-    }
-
-    /// Counts a park/unpark transition of this core (the event itself
-    /// goes to the chip-level ring).
-    pub(crate) fn bump_park(&mut self) {
-        self.park_transitions += 1;
-    }
-
     /// Converts the in-flight state into the final [`Telemetry`]: flushes
     /// the local counters into the registry and assembles the phase
     /// profile from the core's stage timers and the loop's accumulators.
-    pub(crate) fn flush(
-        self,
-        core: &Core,
-        cycles: u64,
-        samples: u64,
-        stage_nanos_start: [u64; 6],
-        core_cycles_start: u64,
-    ) -> Telemetry {
+    pub(crate) fn flush(mut self, core: &Core, acc: &RunAccum) -> Telemetry {
         if let Some(reg) = &self.registry {
-            reg.counter("cycles").add(cycles);
+            reg.counter("cycles").add(acc.cycle);
             reg.counter("thermal_steps").add(self.thermal_steps);
-            reg.counter("dtm_samples").add(samples);
+            reg.counter("dtm_samples").add(acc.samples);
             reg.counter("duty_changes").add(self.duty_changes);
-            reg.counter("emergency_entries").add(self.emergency_entries);
-            reg.counter("stress_entries").add(self.stress_entries);
+            reg.counter("emergency_entries").add(self.entries[0]);
+            reg.counter("stress_entries").add(self.entries[1]);
             reg.counter("sensor_reads").add(self.sensor_reads);
             reg.counter("supervisor_caps").add(self.supervisor_caps);
             reg.counter("core_parks").add(self.park_transitions);
@@ -378,9 +341,8 @@ impl TelemetryState {
             }
         }
         let phases = self.phases.then(|| {
-            let mut profile = PhaseProfile::new();
             let stage = core.stage_nanos();
-            let core_cycles = core.stats().cycles - core_cycles_start;
+            let core_cycles = core.stats().cycles - self.core_cycles_start;
             const STAGES: [Phase; 6] = [
                 Phase::Commit,
                 Phase::Writeback,
@@ -390,16 +352,10 @@ impl TelemetryState {
                 Phase::Fetch,
             ];
             for (i, phase) in STAGES.into_iter().enumerate() {
-                profile.add(phase, stage[i] - stage_nanos_start[i], core_cycles);
+                let nanos = stage[i] - self.stage_nanos_start[i];
+                self.profile.add(phase, nanos, core_cycles);
             }
-            profile.add(Phase::Power, self.power_nanos, self.power_calls);
-            profile.add(Phase::ThermalStep, self.thermal_nanos, self.thermal_calls);
-            profile.add(
-                Phase::Controller,
-                self.controller_nanos,
-                self.controller_calls,
-            );
-            profile
+            self.profile
         });
         Telemetry {
             events: self.events,
@@ -416,6 +372,24 @@ struct PowerTraceRecorder {
     acc_total: f64,
     count: u64,
     trace: crate::replay::PowerTrace,
+}
+
+impl PowerTraceRecorder {
+    /// Accumulates one cycle; pushes the stride mean when a stride fills.
+    fn record(&mut self, powers: &[f64; NUM_THERMAL], total: f64) {
+        for (acc, &p) in self.acc.iter_mut().zip(powers) {
+            *acc += p;
+        }
+        self.acc_total += total;
+        self.count += 1;
+        if self.count == self.stride {
+            let mean = self.acc.map(|a| a / self.stride as f64);
+            self.trace.push(mean, self.acc_total / self.stride as f64);
+            self.acc = [0.0; NUM_THERMAL];
+            self.acc_total = 0.0;
+            self.count = 0;
+        }
+    }
 }
 
 /// A downsampled time series of the run: block temperatures, total power,
@@ -435,13 +409,15 @@ pub struct Trace {
 }
 
 impl Trace {
-    fn new(stride: u64) -> Trace {
-        Trace {
-            stride,
-            cycles: Vec::new(),
-            temperatures: Vec::new(),
-            power: Vec::new(),
-            duty: Vec::new(),
+    /// Samples a cycle at the *start* of each stride (`cycle % stride ==
+    /// 0`, so the first is cycle 0), while DTM samples fire at the *end*
+    /// of each interval (`(cycle + 1) % interval == 0`). Pinned by tests.
+    fn record(&mut self, c: &CycleView) {
+        if c.cycle.is_multiple_of(self.stride) {
+            self.cycles.push(c.cycle);
+            self.temperatures.push(*c.temps);
+            self.power.push(c.total);
+            self.duty.push(c.duty);
         }
     }
 
@@ -468,61 +444,66 @@ impl Trace {
     }
 }
 
-/// The once-per-run classification of everything the cycle loop would
-/// otherwise have to test per cycle: which instrumentation is attached,
-/// which optional physics are enabled, and whether DTM commands apply
-/// directly. [`Simulator::run`] resolves a plan once, then dispatches to
-/// a loop specialized for it.
-#[derive(Clone, Copy, Debug)]
-struct RunPlan {
-    /// Telemetry collection is attached (events, metrics, or phases).
-    telemetry: bool,
-    /// Host-time phase profiling is on (times the power / thermal /
-    /// controller sections with `Instant`; implies `telemetry`).
-    phases: bool,
-    /// Temperature proxies are attached (Tables 9/10 bookkeeping).
-    proxies: bool,
-    /// Downsampled trace recording is on.
-    trace: bool,
-    /// Power-trace recording is on.
-    power_trace: bool,
-    /// Temperature-dependent leakage feedback is enabled.
-    leakage: bool,
-    /// The run starts with a warm-start window (first sampling interval).
-    warm_start: bool,
-    /// DTM commands are interrupt-delayed — or a delayed command is still
-    /// queued from a previous run — so the pending queue must be polled.
-    interrupt: bool,
+/// What a single-core run observes: telemetry, temperature proxies, the
+/// downsampled trace, and the power trace. Each hook runs on every cycle
+/// the loop executes or folds, so observation never depends on skipping.
+#[derive(Default)]
+struct Watch {
+    telemetry: Option<TelemetryState>,
+    proxies: Vec<ProxyAttachment>,
+    trace: Option<Trace>,
+    power_trace: Option<PowerTraceRecorder>,
 }
 
-impl RunPlan {
-    fn classify(sim: &Simulator) -> RunPlan {
-        RunPlan {
-            telemetry: sim.telemetry.is_some(),
-            phases: sim.telemetry.as_deref().is_some_and(|ts| ts.phases),
-            proxies: !sim.proxies.is_empty(),
-            trace: sim.trace.is_some(),
-            power_trace: sim.power_trace.is_some(),
-            leakage: sim.cfg.leakage.is_some(),
-            warm_start: sim.cfg.warm_start,
-            interrupt: !matches!(sim.cfg.dtm.mechanism, TriggerMechanism::Direct)
-                || !sim.pending.is_empty(),
+impl Watch {
+    fn is_empty(&self) -> bool {
+        self.telemetry.is_none()
+            && self.proxies.is_empty()
+            && self.trace.is_none()
+            && self.power_trace.is_none()
+    }
+}
+
+impl Observer for Watch {
+    fn telemetry(&mut self, _k: usize) -> Option<&mut TelemetryState> {
+        self.telemetry.as_mut()
+    }
+
+    fn cycle(&mut self, _k: usize, c: &CycleView) {
+        if let Some(ts) = &mut self.telemetry {
+            ts.observe_cycle(c.cycle, c.temps, c.emergency);
+        }
+        for proxy in &mut self.proxies {
+            proxy.record(c);
+        }
+        if let Some(rec) = &mut self.power_trace {
+            rec.record(c.powers, c.total);
+        }
+        if let Some(trace) = &mut self.trace {
+            trace.record(c);
         }
     }
 
-    /// Whether the specialized uninstrumented loop applies: no observer
-    /// is attached and commands apply directly, so nothing can observe or
-    /// perturb the simulation between consecutive DTM-sample boundaries.
-    fn fast(&self) -> bool {
-        !(self.telemetry || self.proxies || self.trace || self.power_trace || self.interrupt)
+    fn timer(&self) -> Option<Instant> {
+        self.telemetry
+            .as_ref()
+            .filter(|ts| ts.phases)
+            .map(|_| Instant::now())
+    }
+
+    fn lap(&mut self, phase: Phase, start: Option<Instant>, calls: u64) {
+        if let (Some(ts), Some(start)) = (&mut self.telemetry, start) {
+            ts.profile
+                .add(phase, start.elapsed().as_nanos() as u64, calls);
+        }
     }
 }
 
-/// Post-warmup accumulators shared by the fast and reference loops — and
-/// by the multicore simulator, which keeps one per core. The report is
-/// assembled from this struct alone ([`finalize_report`]), so every loop
-/// finalizes through one code path and a given simulation yields
-/// byte-identical reports whichever loop ran it.
+/// Post-warmup accumulators shared by every run loop — one per core. The
+/// report is assembled from this struct alone (`CoreSlot::report`), so
+/// every loop finalizes through one code path and a given simulation
+/// yields byte-identical reports whichever loop ran it.
+#[derive(Default)]
 pub(crate) struct RunAccum {
     pub(crate) cycle: u64,
     pub(crate) counted_cycles: u64,
@@ -544,26 +525,13 @@ pub(crate) struct RunAccum {
 impl RunAccum {
     pub(crate) fn new() -> RunAccum {
         RunAccum {
-            cycle: 0,
-            counted_cycles: 0,
-            committed_at_count_start: 0,
-            wall_time: 0.0,
-            sum_power: 0.0,
-            max_power: 0.0,
-            emergency_cycles: 0,
-            stress_cycles: 0,
-            block_sum_t: [0.0; NUM_THERMAL],
             block_max_t: [f64::NEG_INFINITY; NUM_THERMAL],
-            block_emerg: [0; NUM_THERMAL],
-            block_stress: [0; NUM_THERMAL],
-            block_sum_p: [0.0; NUM_THERMAL],
-            block_max_p: [0.0; NUM_THERMAL],
-            samples: 0,
+            ..RunAccum::default()
         }
     }
 
     /// Folds one counted cycle into the accumulators. The arithmetic and
-    /// its order are shared verbatim by both loops — that sharing is what
+    /// its order are shared verbatim by every loop — that sharing is what
     /// makes their reports byte-identical.
     #[inline(always)]
     pub(crate) fn record_cycle(
@@ -573,8 +541,8 @@ impl RunAccum {
         total_power: f64,
         dt_wall: f64,
         emergency: f64,
-        stress: f64,
     ) {
+        let stress = emergency - 1.0;
         self.counted_cycles += 1;
         self.wall_time += dt_wall;
         self.sum_power += total_power;
@@ -602,89 +570,6 @@ impl RunAccum {
         if any_s {
             self.stress_cycles += 1;
         }
-    }
-}
-
-/// The warm-start jump applied at the end of the first sampling interval:
-/// every block jumps to the steady state of its observed average power,
-/// capped at the policy's control ceiling (under DTM the machine could
-/// never have reached a temperature the policy would have prevented — the
-/// setpoint for control-theoretic policies, the trigger for the threshold
-/// policies). Shared by both single-core run loops and, per core, by the
-/// multicore simulator.
-pub(crate) fn warm_start_jump(
-    thermal: &mut BlockModel,
-    dtm: &tdtm_dtm::DtmConfig,
-    warm_start_power: &mut [f64; NUM_THERMAL],
-    interval: u64,
-) {
-    for p in warm_start_power.iter_mut() {
-        *p /= interval as f64;
-    }
-    thermal.warm_start(&warm_start_power[..]);
-    if dtm.policy != tdtm_dtm::PolicyKind::None {
-        let ceiling = if dtm.policy.is_control_theoretic() {
-            dtm.setpoint
-        } else {
-            dtm.trigger
-        };
-        for i in 0..NUM_THERMAL {
-            let t = thermal.temperatures()[i];
-            if t > ceiling {
-                thermal.set_temperature(i, ceiling);
-            }
-        }
-    }
-}
-
-/// Assembles a [`RunReport`] from one core's accumulators — the single
-/// code path every run loop (fast, reference, and per-core multicore)
-/// finalizes through, which is what makes their reports byte-identical.
-pub(crate) fn finalize_report(
-    name: &str,
-    policy: &dyn DtmPolicy,
-    params: &[tdtm_thermal::BlockParams],
-    stats: &tdtm_uarch::CoreStats,
-    bpred_accuracy: f64,
-    acc: &RunAccum,
-) -> RunReport {
-    let committed = stats.committed.saturating_sub(acc.committed_at_count_start);
-    let n = acc.counted_cycles.max(1) as f64;
-    let blocks = (0..NUM_THERMAL)
-        .map(|i| BlockMetrics {
-            name: params[i].name.clone(),
-            avg_temp: acc.block_sum_t[i] / n,
-            max_temp: if acc.block_max_t[i].is_finite() {
-                acc.block_max_t[i]
-            } else {
-                0.0
-            },
-            emergency_cycles: acc.block_emerg[i],
-            stress_cycles: acc.block_stress[i],
-            avg_power: acc.block_sum_p[i] / n,
-            max_power: acc.block_max_p[i],
-        })
-        .collect();
-    let avg_power = acc.sum_power / n;
-    RunReport {
-        name: name.to_string(),
-        policy: policy.kind().to_string(),
-        cycles: acc.counted_cycles,
-        total_cycles: acc.cycle,
-        committed,
-        wall_time: acc.wall_time,
-        ipc: committed as f64 / n,
-        avg_power,
-        max_power: acc.max_power,
-        avg_chip_temp: crate::config::table4_chip_temp(avg_power),
-        emergency_cycles: acc.emergency_cycles,
-        stress_cycles: acc.stress_cycles,
-        blocks,
-        samples: acc.samples,
-        engaged_samples: policy.engaged_samples(),
-        recoveries: stats.recoveries,
-        bpred_accuracy,
-        gated_cycles: stats.gated_cycles,
     }
 }
 
@@ -732,28 +617,14 @@ impl Simulator {
         skip: u64,
         power: Option<std::sync::Arc<PowerModel>>,
     ) -> Simulator {
-        let core = Core::with_skip_shared(cfg.core, program, skip);
         let power =
             power.unwrap_or_else(|| std::sync::Arc::new(PowerModel::new(&cfg.power, &cfg.core)));
         let thermal = BlockModel::new(cfg.blocks.clone(), cfg.heatsink_temp, cfg.cycle_time());
-        let policy = build_policy_at(&cfg.dtm, cfg.core.clock_hz);
         Simulator {
-            core,
+            slot: CoreSlot::new(&cfg, cfg.dtm, program, skip, name.to_string()),
             power,
             thermal,
-            policy,
-            sensors: SensorModel::ideal(),
-            proxies: Vec::new(),
-            name: name.to_string(),
-            pending: VecDeque::new(),
-            resync_remaining: 0,
-            vf_power_scale: 1.0,
-            vf_freq_scale: 1.0,
-            vf_engaged: false,
-            duty_history: Vec::new(),
-            trace: None,
-            power_trace: None,
-            telemetry: None,
+            watch: Watch::default(),
             collected: None,
             reference_loop: false,
             skip: skip_default(),
@@ -770,9 +641,9 @@ impl Simulator {
     /// telemetry on or off.
     pub fn enable_telemetry(&mut self, cfg: &TelemetryConfig) {
         if cfg.phases {
-            self.core.set_stage_profiling(true);
+            self.slot.core.set_stage_profiling(true);
         }
-        self.telemetry = Some(Box::new(TelemetryState::new(cfg)));
+        self.watch.telemetry = Some(TelemetryState::with_core(cfg, 0, &self.slot.core));
     }
 
     /// The telemetry collected by the last run, if enabled.
@@ -793,13 +664,19 @@ impl Simulator {
     /// Panics if `stride` is zero.
     pub fn record_trace(&mut self, stride: u64) {
         assert!(stride > 0, "stride must be nonzero");
-        self.trace = Some(Trace::new(stride));
+        self.watch.trace = Some(Trace {
+            stride,
+            cycles: Vec::new(),
+            temperatures: Vec::new(),
+            power: Vec::new(),
+            duty: Vec::new(),
+        });
     }
 
     /// The recorded trace, if [`record_trace`](Simulator::record_trace)
     /// was enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+        self.watch.trace.as_ref()
     }
 
     /// Enables power-trace recording: stride-mean per-block powers
@@ -810,7 +687,7 @@ impl Simulator {
     /// Panics if `stride` is zero.
     pub fn record_power_trace(&mut self, stride: u64) {
         assert!(stride > 0, "stride must be nonzero");
-        self.power_trace = Some(PowerTraceRecorder {
+        self.watch.power_trace = Some(PowerTraceRecorder {
             stride,
             acc: [0.0; NUM_THERMAL],
             acc_total: 0.0,
@@ -821,21 +698,23 @@ impl Simulator {
 
     /// The recorded power trace, if enabled.
     pub fn power_trace(&self) -> Option<&crate::replay::PowerTrace> {
-        self.power_trace.as_ref().map(|r| &r.trace)
+        self.watch.power_trace.as_ref().map(|r| &r.trace)
     }
 
     /// Replaces the ideal sensors (for the sensor-fidelity ablation).
     pub fn set_sensors(&mut self, sensors: SensorModel) {
-        self.sensors = sensors;
+        self.slot.sensors = sensors;
     }
 
     /// Attaches a per-structure boxcar power proxy with the given window,
     /// for the Tables 9/10 comparison.
     pub fn add_structure_proxy(&mut self, window: usize) {
-        self.proxies.push(ProxyAttachment {
+        self.watch.proxies.push(ProxyAttachment {
             label: format!("structure {window}"),
             kind: ProxyKind::PerStructure {
                 boxcars: vec![BoxcarProxy::new(window); NUM_THERMAL],
+                rs: std::array::from_fn(|i| self.thermal.params()[i].r),
+                heatsink: self.thermal.heatsink(),
             },
             counts: vec![AgreementCounts::new(); NUM_THERMAL],
         });
@@ -844,7 +723,7 @@ impl Simulator {
     /// Attaches a chip-wide boxcar power proxy triggering at
     /// `threshold_w` watts.
     pub fn add_chipwide_proxy(&mut self, window: usize, threshold_w: f64) {
-        self.proxies.push(ProxyAttachment {
+        self.watch.proxies.push(ProxyAttachment {
             label: format!("chip-wide {window}"),
             kind: ProxyKind::ChipWide {
                 boxcar: BoxcarProxy::new(window),
@@ -858,12 +737,12 @@ impl Simulator {
     ///
     /// [`run`]: Simulator::run
     pub fn proxies(&self) -> &[ProxyAttachment] {
-        &self.proxies
+        &self.watch.proxies
     }
 
     /// Sampled fetch-duty history (one entry per DTM sample).
     pub fn duty_history(&self) -> &[f64] {
-        &self.duty_history
+        &self.slot.duty_history
     }
 
     /// Current block temperatures (for tracing examples).
@@ -871,20 +750,22 @@ impl Simulator {
         self.thermal.temperatures()
     }
 
-    /// Forces the fully instrumented reference loop even when a run
-    /// qualifies for the specialized fast loop. This is a validation
-    /// knob: the byte-identity tests run the same simulation through
-    /// both loops and compare the reports.
+    /// Runs the plain per-cycle reference oracle instead of the cycle
+    /// loop. This is a validation knob: the byte-identity tests run the
+    /// same simulation both ways and compare the reports. The oracle
+    /// takes no observers — attached telemetry, proxies, and traces
+    /// record nothing while it runs.
     pub fn set_reference_loop(&mut self, on: bool) {
         self.reference_loop = on;
     }
 
-    /// Enables or disables idle-gap skipping in the fast loop,
-    /// overriding the `TDTM_SKIP` default. Skipping never changes the
-    /// report: a gated, drained, or resync-stalled window is advanced
-    /// with the same per-cycle arithmetic the loop would have executed,
-    /// so [`RunReport`]s stay byte-identical either way (pinned by
-    /// `tests/hot_loop_identity.rs`).
+    /// Enables or disables idle-gap skipping, overriding the `TDTM_SKIP`
+    /// default. Skipping never changes the report or any observation: a
+    /// gated, drained, or resync-stalled window is advanced with the same
+    /// per-cycle arithmetic the loop would have executed, and observers
+    /// still see every cycle, so [`RunReport`]s stay byte-identical
+    /// either way (pinned by `tests/hot_loop_identity.rs` and
+    /// `tests/loop_contract.rs`).
     pub fn set_skip(&mut self, on: bool) {
         self.skip = on;
     }
@@ -899,547 +780,112 @@ impl Simulator {
 
     /// The skip-window log of the last run (empty unless
     /// [`record_skip_windows`](Simulator::record_skip_windows) was
-    /// enabled and the fast loop actually skipped).
+    /// enabled and the loop actually skipped).
     pub fn skip_windows(&self) -> &[SkipWindow] {
         &self.skip_windows
     }
 
     /// Runs to the configured instruction budget and returns the report.
     ///
-    /// The loop is specialized once per run (via an internal run plan):
-    /// an uninstrumented run — no telemetry, proxies, or traces, and
-    /// direct DTM triggering — takes a chunked loop that advances
-    /// straight to the next DTM-sample or stop boundary with no
-    /// per-cycle `Option` tests; anything instrumented takes the
-    /// reference loop. Both loops fold into one accumulator and finalize
-    /// through one code path, and their reports are byte-identical
-    /// (pinned by tests).
+    /// The run goes through the cycle loop shared with
+    /// [`MulticoreSim`](crate::MulticoreSim), as its N = 1 case:
+    /// monomorphized for the no-op observer when nothing is attached, and
+    /// for the single-core observer (telemetry, proxies, traces)
+    /// otherwise. Both skip idle gaps alike and finalize through one code
+    /// path, so reports are byte-identical whatever is attached (pinned
+    /// by tests).
     pub fn run(&mut self) -> RunReport {
-        let plan = RunPlan::classify(self);
-        let mut acc = RunAccum::new();
         self.skip_windows.clear();
-        // Detach the telemetry state from `self` for the duration of the
-        // loop so its mutable borrows stay disjoint from the simulator's
-        // components; reattached as `collected` at the end.
-        let mut tstate = self.telemetry.take();
-        let stage_nanos_start = self.core.stage_nanos();
-        let core_cycles_start = self.core.stats().cycles;
-
-        if plan.fast() && !self.reference_loop {
-            if plan.leakage {
-                self.run_fast::<true>(&mut acc, plan);
-            } else {
-                self.run_fast::<false>(&mut acc, plan);
-            }
+        let slot = &mut self.slot;
+        slot.acc = RunAccum::new();
+        slot.warm_start_power = [0.0; NUM_THERMAL];
+        slot.parked = false;
+        if self.reference_loop {
+            self.run_reference();
         } else {
-            self.run_reference(&mut acc, plan, &mut tstate);
+            let machine = Machine {
+                cfg: &self.cfg,
+                power: &self.power,
+                die: &mut self.thermal,
+                slots: std::slice::from_mut(&mut self.slot),
+                supervisor: None,
+                clock: &mut 0,
+                skip: self.skip,
+                log: self.log_skip_windows.then_some(&mut self.skip_windows),
+            };
+            if self.watch.is_empty() {
+                machine.run(&mut NoObserver);
+            } else {
+                machine.run(&mut self.watch);
+            }
         }
-
-        if let Some(ts) = tstate {
-            self.collected = Some(ts.flush(
-                &self.core,
-                acc.cycle,
-                acc.samples,
-                stage_nanos_start,
-                core_cycles_start,
-            ));
+        if let Some(ts) = self.watch.telemetry.take() {
+            self.collected = Some(ts.flush(&self.slot.core, &self.slot.acc));
         }
-        self.finalize(&acc)
+        self.slot.report(self.thermal.params())
     }
 
-    /// The specialized uninstrumented cycle loop.
-    ///
-    /// Eligibility ([`RunPlan::fast`]) guarantees nothing observes or
-    /// perturbs the simulation between consecutive DTM-sample
-    /// boundaries, so the loop runs in chunks that end exactly on the
-    /// next boundary and samples once per chunk instead of testing
-    /// `(cycle + 1) % interval` every cycle. Leakage is monomorphized
-    /// out via `LEAK`, and the power-scale / leakage-add / exact-decay
-    /// passes are fused into one sweep over the blocks
-    /// ([`BlockModel::step_fused`]) with bit-identical arithmetic.
-    ///
-    /// Boundary math: DTM samples fire on cycles where
-    /// `(cycle + 1) % interval == 0` — the *last* cycle of each
-    /// interval-aligned chunk — so from any `cycle` the boundary is
-    /// `interval - cycle % interval` cycles ahead, inclusive. Stop
-    /// conditions (instruction budget, cycle budget, program halt) can
-    /// fire mid-chunk and are still checked every cycle, in exactly the
-    /// reference loop's order; a mid-chunk stop skips the boundary
-    /// sample just as the reference loop would.
-    ///
-    /// Idle-gap skipping: when the core proves a k-cycle window idle
-    /// ([`Core::idle_window`]: fetch gated shut or the pipeline drained
-    /// against a known wake cycle) — or the loop is inside a V/f resync
-    /// stall — every cycle in the window draws the same idle power, so
-    /// the loop folds the window with a constant-power thermal kernel
-    /// ([`BlockModel::step_gap_observed`] /
-    /// [`BlockModel::step_gap_fixed`]) and jumps the cycle counter,
-    /// never touching the pipeline. The fold iterates the per-cycle
-    /// recurrence in the same order with the same bits, and counted
-    /// cycles still fold into the accumulator one at a time, so reports
-    /// stay byte-identical with the non-skipping loops. Windows are
-    /// clipped to the chunk boundary (the boundary's DTM sample always
-    /// runs), the cycle budget, and the warmup boundary (so `counting`
-    /// is uniform across a fold); no window starts inside the
-    /// warm-start window (its per-cycle power accumulation must run) or
-    /// under temperature-dependent leakage (power varies with T).
-    fn run_fast<const LEAK: bool>(&mut self, acc: &mut RunAccum, plan: RunPlan) {
-        let interval = self.cfg.dtm.sample_interval.max(1);
-        let emergency = self.cfg.dtm.emergency;
-        let stress = emergency - 1.0;
-        let nominal_dt = self.cfg.cycle_time();
-        let warmup = self.cfg.thermal_warmup_cycles;
-        let idle_sample = self.power.cycle_power(&tdtm_uarch::Activity::new());
+    /// The reference oracle: the plain per-cycle loop the tests compare
+    /// the cycle loop against. Every cycle executes the pipeline, stages
+    /// power (V/f scale, then leakage at the pre-step temperatures), takes
+    /// a plain thermal step, applies the warm-start jump, counts, tests
+    /// the DTM-sample boundary, and polls interrupt-delayed commands — no
+    /// chunking, no idle-gap skipping, and no observers.
+    fn run_reference(&mut self) {
+        let Simulator {
+            cfg,
+            slot,
+            power,
+            thermal,
+            ..
+        } = self;
+        let interval = cfg.dtm.sample_interval.max(1);
+        let emergency = cfg.dtm.emergency;
+        let nominal_dt = cfg.cycle_time();
+        let idle_sample = power.cycle_power(&tdtm_uarch::Activity::new());
+        let leak = cfg.leakage.map(|model| (model, leakage_peaks(power)));
         let mut sensed = [0.0f64; NUM_THERMAL];
-        let mut warm_start_power = [0.0f64; NUM_THERMAL];
-        let warm_window = if plan.warm_start { interval } else { 0 };
-        let leak = self.cfg.leakage;
-        // Peak powers hoisted so the leakage closure does not borrow
-        // `self.power` while `self.thermal` is mutably borrowed.
-        let peaks: [f64; NUM_THERMAL] =
-            std::array::from_fn(|i| self.power.peak(tdtm_uarch::activity::THERMAL_BLOCKS[i]));
-
-        let skip = self.skip && !LEAK;
-
-        'run: loop {
-            let mut remaining = interval - acc.cycle % interval;
-            while remaining > 0 {
-                let counting = acc.cycle >= warmup;
-                if counting && acc.counted_cycles == 0 {
-                    acc.committed_at_count_start = self.core.stats().committed;
-                }
-                // Stop conditions.
-                if self
-                    .core
-                    .stats()
-                    .committed
-                    .saturating_sub(acc.committed_at_count_start)
-                    >= self.cfg.max_insts
-                    && counting
-                {
-                    break 'run;
-                }
-                if acc.cycle >= self.cfg.max_cycles || self.core.finished() {
-                    break 'run;
-                }
-
-                // Idle-gap fast-forward. Inside a window nothing the
-                // stop conditions read can change (the pipeline is
-                // untouched, so `committed` and `finished` are frozen;
-                // the cycle budget caps the window), so checking them
-                // once at entry matches the per-cycle reference order.
-                if skip && acc.cycle >= warm_window {
-                    let mut cap = remaining.min(self.cfg.max_cycles - acc.cycle);
-                    if acc.cycle < warmup {
-                        cap = cap.min(warmup - acc.cycle);
-                    }
-                    let window = if self.resync_remaining > 0 {
-                        Some((self.resync_remaining.min(cap), SkipReason::Resync))
-                    } else {
-                        self.core.idle_window(cap).map(|(len, kind)| {
-                            let reason = match kind {
-                                IdleKind::Gated => SkipReason::Gated,
-                                IdleKind::Drained => SkipReason::Drained,
-                            };
-                            (len, reason)
-                        })
-                    };
-                    if let Some((k, reason)) = window {
-                        if k >= MIN_SKIP_WINDOW {
-                            // Every skipped cycle draws the bitwise-same
-                            // idle power sample, so pre-scaling once is
-                            // exactly the per-cycle `step_scaled` bits.
-                            let scale = self.vf_power_scale;
-                            let mut gap_powers = idle_sample.thermal_powers();
-                            for p in &mut gap_powers {
-                                *p *= scale;
-                            }
-                            let gap_total = idle_sample.total * scale;
-                            if counting {
-                                let dt_wall = nominal_dt / self.vf_freq_scale;
-                                let acc = &mut *acc;
-                                self.thermal.step_gap_observed(&gap_powers, k, |temps| {
-                                    acc.record_cycle(
-                                        temps,
-                                        &gap_powers,
-                                        gap_total,
-                                        dt_wall,
-                                        emergency,
-                                        stress,
-                                    );
-                                });
-                            } else {
-                                self.thermal.step_gap_fixed(&gap_powers, k);
-                            }
-                            if reason == SkipReason::Resync {
-                                self.resync_remaining -= k;
-                            } else {
-                                self.core.skip_idle(k);
-                            }
-                            if self.log_skip_windows {
-                                self.skip_windows.push(SkipWindow {
-                                    start: acc.cycle,
-                                    end: acc.cycle + k,
-                                    reason,
-                                });
-                            }
-                            acc.cycle += k;
-                            remaining -= k;
-                            continue;
-                        }
-                    }
-                }
-
-                // One machine cycle (or a resync-stall cycle).
-                let sample = if self.resync_remaining > 0 {
-                    self.resync_remaining -= 1;
-                    idle_sample
-                } else {
-                    self.power.cycle_power(self.core.cycle())
-                };
-                let scale = self.vf_power_scale;
-                let mut thermal_powers = sample.thermal_powers();
-                let mut total_power = sample.total * scale;
-                if LEAK {
-                    let leak = leak.expect("LEAK implies a leakage model");
-                    self.thermal.step_fused(
-                        &mut thermal_powers,
-                        scale,
-                        &mut total_power,
-                        // Leakage scales with V (roughly linearly through
-                        // V·I_leak); reuse the dynamic scale conservatively.
-                        |i, t| leak.leakage_power(peaks[i], t) * scale,
-                    );
-                } else {
-                    self.thermal.step_scaled(&mut thermal_powers, scale);
-                }
-
-                if acc.cycle < warm_window {
-                    for i in 0..NUM_THERMAL {
-                        warm_start_power[i] += thermal_powers[i];
-                    }
-                    if acc.cycle + 1 == interval {
-                        self.apply_warm_start(&mut warm_start_power, interval);
-                    }
-                }
-
-                if counting {
-                    let temps = self.thermal.temperatures_fixed();
-                    acc.record_cycle(
-                        temps,
-                        &thermal_powers,
-                        total_power,
-                        nominal_dt / self.vf_freq_scale,
-                        emergency,
-                        stress,
-                    );
-                }
-                acc.cycle += 1;
-                remaining -= 1;
-            }
-
-            // DTM sample at the chunk boundary: the cycle just executed
-            // satisfied `(cycle + 1) % interval == 0` before the
-            // increment, and in Direct mode the reference loop applies
-            // the command within that same cycle's body with nothing in
-            // between, so sampling after the chunk is bit-equivalent.
-            let sample_cycle = acc.cycle - 1;
-            let temps = self.thermal.temperatures_fixed::<NUM_THERMAL>();
-            self.sensors.read_all(&temps[..], &mut sensed);
-            let cmd = self.policy.sample(&sensed);
-            acc.samples += 1;
-            self.duty_history.push(cmd.fetch_duty);
-            self.apply(sample_cycle, cmd, &mut None);
-        }
-    }
-
-    /// The fully instrumented reference cycle loop: telemetry, proxies,
-    /// traces, phase timing, and interrupt-delayed DTM all live here.
-    #[allow(clippy::too_many_lines)]
-    fn run_reference(
-        &mut self,
-        acc: &mut RunAccum,
-        plan: RunPlan,
-        tstate: &mut Option<Box<TelemetryState>>,
-    ) {
-        let interval = self.cfg.dtm.sample_interval.max(1);
-        let emergency = self.cfg.dtm.emergency;
-        let stress = emergency - 1.0;
-        let nominal_dt = self.cfg.cycle_time();
-        let warmup = self.cfg.thermal_warmup_cycles;
-        let idle_sample = self.power.cycle_power(&tdtm_uarch::Activity::new());
-        let mut sensed = [0.0f64; NUM_THERMAL];
-        let mut warm_start_power = [0.0f64; NUM_THERMAL];
-        let warm_window = if plan.warm_start { interval } else { 0 };
-        // Per-block thermal resistances and the heatsink temperature are
-        // run constants; hoisted for the proxy bookkeeping (this used to
-        // collect a fresh `Vec<f64>` every cycle).
-        let proxy_rs: [f64; NUM_THERMAL] = std::array::from_fn(|i| self.thermal.params()[i].r);
-        let heatsink = self.thermal.heatsink();
-
-        loop {
-            let counting = acc.cycle >= warmup;
-            if counting && acc.counted_cycles == 0 {
-                acc.committed_at_count_start = self.core.stats().committed;
-            }
-            // Stop conditions.
-            if self
-                .core
-                .stats()
-                .committed
-                .saturating_sub(acc.committed_at_count_start)
-                >= self.cfg.max_insts
-                && counting
-            {
-                break;
-            }
-            if acc.cycle >= self.cfg.max_cycles || self.core.finished() {
-                break;
-            }
-
-            // One machine cycle (or a resync-stall cycle).
-            let sample = if self.resync_remaining > 0 {
-                self.resync_remaining -= 1;
+        while let Some(counting) = slot.begin_cycle(cfg) {
+            let sample = if slot.resync_remaining > 0 {
+                slot.resync_remaining -= 1;
                 idle_sample
             } else {
-                let activity = self.core.cycle();
-                if plan.phases {
-                    let start = Instant::now();
-                    let sample = self.power.cycle_power(activity);
-                    let ts = tstate.as_deref_mut().expect("phases implies telemetry");
-                    ts.power_nanos += start.elapsed().as_nanos() as u64;
-                    ts.power_calls += 1;
-                    sample
-                } else {
-                    self.power.cycle_power(activity)
-                }
+                power.cycle_power(slot.core.cycle())
             };
-            let scale = self.vf_power_scale;
-            let mut thermal_powers = sample.thermal_powers();
-            for p in &mut thermal_powers {
-                *p *= scale;
-            }
-            let mut total_power = sample.total * scale;
-            // Optional temperature-dependent leakage (extension): leakage
-            // at the block's *current* temperature adds to the power that
-            // heats it this cycle — the feedback loop.
-            if let Some(leak) = self.cfg.leakage {
-                let temps_now = self.thermal.temperatures();
-                for (i, b) in tdtm_uarch::activity::THERMAL_BLOCKS.iter().enumerate() {
-                    // Leakage scales with V (roughly linearly through
-                    // V·I_leak); reuse the dynamic scale conservatively.
-                    let lp = leak.leakage_power(self.power.peak(*b), temps_now[i]) * scale;
-                    thermal_powers[i] += lp;
-                    total_power += lp;
-                }
-            }
-            if plan.phases {
-                let start = Instant::now();
-                self.thermal.step(&thermal_powers);
-                let ts = tstate.as_deref_mut().expect("phases implies telemetry");
-                ts.thermal_nanos += start.elapsed().as_nanos() as u64;
-                ts.thermal_calls += 1;
-                ts.thermal_steps += 1;
-            } else {
-                self.thermal.step(&thermal_powers);
-                if let Some(ts) = tstate.as_deref_mut() {
-                    ts.thermal_steps += 1;
-                }
-            }
+            let mut thermal_powers = [0.0; NUM_THERMAL];
+            let total_power = slot.stage(
+                &sample,
+                leak.as_ref(),
+                thermal.temperatures_fixed(),
+                &mut thermal_powers,
+            );
+            thermal.step(&thermal_powers);
 
-            // Warm start: after the first sampling interval, jump blocks
-            // to the steady state of the observed average power.
-            if acc.cycle < warm_window {
-                for i in 0..NUM_THERMAL {
-                    warm_start_power[i] += thermal_powers[i];
-                }
-                if acc.cycle + 1 == interval {
-                    self.apply_warm_start(&mut warm_start_power, interval);
-                }
-            }
-
-            let temps = self.thermal.temperatures();
-            if let Some(ts) = tstate.as_deref_mut() {
-                // The per-cycle hottest-block fold is computed once here
-                // and shared with the histogram record inside
-                // `observe_cycle`.
-                let hottest = temps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                ts.observe_cycle(acc.cycle, temps, hottest, emergency, stress);
-            }
+            slot.warm_up(thermal, &thermal_powers, cfg);
+            let cycle = slot.acc.cycle;
             if counting {
-                let temps: &[f64; NUM_THERMAL] = temps.try_into().expect("seven thermal blocks");
-                acc.record_cycle(
-                    temps,
-                    &thermal_powers,
-                    total_power,
-                    nominal_dt / self.vf_freq_scale,
-                    emergency,
-                    stress,
-                );
+                let temps = thermal.temperatures_fixed();
+                slot.acc
+                    .record_cycle(temps, &thermal_powers, total_power, slot.dt_wall, emergency);
             }
 
-            // Proxy bookkeeping (Tables 9/10).
-            if !self.proxies.is_empty() {
-                for proxy in &mut self.proxies {
-                    match &mut proxy.kind {
-                        ProxyKind::PerStructure { boxcars } => {
-                            for i in 0..NUM_THERMAL {
-                                boxcars[i].push(thermal_powers[i]);
-                                if counting {
-                                    let proxy_hot = boxcars[i].triggered_thermal(
-                                        proxy_rs[i],
-                                        heatsink,
-                                        emergency,
-                                    );
-                                    proxy.counts[i].record(temps[i] > emergency, proxy_hot);
-                                }
-                            }
-                        }
-                        ProxyKind::ChipWide {
-                            boxcar,
-                            threshold_w,
-                        } => {
-                            boxcar.push(total_power);
-                            if counting {
-                                let reference_hot = temps.iter().any(|&t| t > emergency);
-                                proxy.counts[0]
-                                    .record(reference_hot, boxcar.triggered(*threshold_w));
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Power-trace recording.
-            if let Some(rec) = &mut self.power_trace {
-                for (acc, &p) in rec.acc.iter_mut().zip(&thermal_powers) {
-                    *acc += p;
-                }
-                rec.acc_total += total_power;
-                rec.count += 1;
-                if rec.count == rec.stride {
-                    let mean = rec.acc.map(|a| a / rec.stride as f64);
-                    rec.trace.push(mean, rec.acc_total / rec.stride as f64);
-                    rec.acc = [0.0; NUM_THERMAL];
-                    rec.acc_total = 0.0;
-                    rec.count = 0;
-                }
-            }
-
-            // Trace recording. Note the stride asymmetry with DTM
-            // sampling below: a trace sample fires at the *start* of each
-            // stride (`cycle % stride == 0`, so the first is cycle 0),
-            // while a DTM sample fires at the *end* of each interval
-            // (`(cycle + 1) % interval == 0`, so the first is cycle
-            // interval − 1). Pinned by tests.
-            if let Some(trace) = &mut self.trace {
-                if acc.cycle.is_multiple_of(trace.stride) {
-                    let mut temps_arr = [0.0; NUM_THERMAL];
-                    temps_arr.copy_from_slice(temps);
-                    trace.cycles.push(acc.cycle);
-                    trace.temperatures.push(temps_arr);
-                    trace.power.push(total_power);
-                    trace.duty.push(self.core.control().fetch_duty);
-                }
-            }
-
-            // DTM sampling.
-            if (acc.cycle + 1).is_multiple_of(interval) {
-                let dtm_start = plan.phases.then(Instant::now);
-                self.sensors.read_all(temps, &mut sensed);
-                let cmd = match tstate.as_deref_mut() {
-                    Some(ts) => {
-                        // The observed and unobserved policy paths execute
-                        // identical code (`sample` delegates to
-                        // `sample_observed`), so the command is bit-equal
-                        // either way; only the observer's bookkeeping
-                        // differs. Dense per-sample events honor the
-                        // trace stride; edge events never go through here.
-                        let due = ts.sample_due(acc.samples);
-                        if due {
-                            ts.record_sensor_reads(acc.cycle, &sensed);
-                        }
-                        let cycle = acc.cycle;
-                        let cmd = self.policy.sample_observed(&sensed, &mut |block, s| {
-                            if due {
-                                ts.record_controller(cycle, block, &s);
-                            }
-                        });
-                        ts.record_duty_hist(cmd.fetch_duty);
-                        cmd
-                    }
-                    None => self.policy.sample(&sensed),
-                };
-                acc.samples += 1;
-                self.duty_history.push(cmd.fetch_duty);
-                match self.cfg.dtm.mechanism {
-                    TriggerMechanism::Direct => self.apply(acc.cycle, cmd, tstate),
+            if (cycle + 1).is_multiple_of(interval) {
+                slot.sensors.read_all(thermal.temperatures(), &mut sensed);
+                let cmd = slot.policy.sample(&sensed);
+                slot.acc.samples += 1;
+                slot.duty_history.push(cmd.fetch_duty);
+                match cfg.dtm.mechanism {
+                    TriggerMechanism::Direct => slot.apply(thermal, cmd, nominal_dt, cycle, None),
                     TriggerMechanism::Interrupt { latency_cycles } => {
-                        self.pending.push_back((acc.cycle + latency_cycles, cmd));
+                        slot.pending.push_back((cycle + latency_cycles, cmd));
                     }
                 }
-                if let Some(start) = dtm_start {
-                    let ts = tstate.as_deref_mut().expect("timed block implies state");
-                    ts.controller_nanos += start.elapsed().as_nanos() as u64;
-                    ts.controller_calls += 1;
-                }
             }
-            while self.pending.front().is_some_and(|&(at, _)| at <= acc.cycle) {
-                let (_, cmd) = self.pending.pop_front().expect("checked");
-                self.apply(acc.cycle, cmd, tstate);
+            while slot.pending.front().is_some_and(|&(at, _)| at <= cycle) {
+                let (_, cmd) = slot.pending.pop_front().expect("checked");
+                slot.apply(thermal, cmd, nominal_dt, cycle, None);
             }
-
-            acc.cycle += 1;
-        }
-    }
-
-    /// Applies the warm-start jump at the end of the first sampling
-    /// interval. Shared by both run loops.
-    fn apply_warm_start(&mut self, warm_start_power: &mut [f64; NUM_THERMAL], interval: u64) {
-        warm_start_jump(&mut self.thermal, &self.cfg.dtm, warm_start_power, interval);
-    }
-
-    /// Assembles the run report from the accumulators — one code path
-    /// shared by both loops.
-    fn finalize(&mut self, acc: &RunAccum) -> RunReport {
-        finalize_report(
-            &self.name,
-            self.policy.as_ref(),
-            self.thermal.params(),
-            self.core.stats(),
-            self.core.bpred().accuracy(),
-            acc,
-        )
-    }
-
-    fn apply(&mut self, cycle: u64, cmd: DtmCommand, tstate: &mut Option<Box<TelemetryState>>) {
-        if let Some(ts) = tstate.as_deref_mut() {
-            let from = self.core.control().fetch_duty;
-            if cmd.fetch_duty != from {
-                ts.record_duty_change(cycle, from, cmd.fetch_duty);
-            }
-        }
-        self.core.set_control(CoreControl {
-            fetch_duty: cmd.fetch_duty,
-            fetch_width_limit: cmd.fetch_width_limit,
-            max_unresolved_branches: cmd.max_unresolved_branches,
-        });
-        match (cmd.vf, self.vf_engaged) {
-            (Some(vf), false) => {
-                self.vf_engaged = true;
-                self.vf_power_scale = vf.power_scale();
-                self.vf_freq_scale = vf.freq_scale;
-                self.thermal.set_dt(self.cfg.cycle_time() / vf.freq_scale);
-                self.resync_remaining = self.cfg.dtm.vf_resync_cycles;
-            }
-            (None, true) => {
-                self.vf_engaged = false;
-                self.vf_power_scale = 1.0;
-                self.vf_freq_scale = 1.0;
-                self.thermal.set_dt(self.cfg.cycle_time());
-                self.resync_remaining = self.cfg.dtm.vf_resync_cycles;
-            }
-            _ => {}
+            slot.acc.cycle += 1;
         }
     }
 }

@@ -199,66 +199,6 @@ impl BlockModel {
         }
     }
 
-    /// Fused V/f-scale + exact-decay pass: multiplies each block power by
-    /// `scale` (writing the effective watts back into `powers`) and
-    /// advances the temperatures one exact step, in a single loop over the
-    /// blocks. Bit-identical to scaling `powers` first and then calling
-    /// [`step`](BlockModel::step): each block's update reads only its own
-    /// power and temperature, so per-block fusion does not reorder any
-    /// floating-point operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model does not have exactly `N` blocks.
-    pub fn step_scaled<const N: usize>(&mut self, powers: &mut [Watts; N], scale: f64) {
-        let BlockModel { params, temps, heatsink, decay, .. } = self;
-        let temps: &mut [f64; N] = temps.as_mut_slice().try_into().expect("one power per block");
-        let decay: &[f64; N] = decay.as_slice().try_into().expect("one decay per block");
-        assert_eq!(params.len(), N, "one power per block");
-        for i in 0..N {
-            let p = powers[i] * scale;
-            powers[i] = p;
-            let t_ss = *heatsink + p * params[i].r;
-            temps[i] = t_ss + (temps[i] - t_ss) * decay[i];
-        }
-    }
-
-    /// Fused V/f-scale + extra-power + exact-decay pass, the leakage
-    /// variant of [`step_scaled`](BlockModel::step_scaled): block `i`'s
-    /// power becomes `powers[i] * scale + extra(i, T_i)` where `T_i` is
-    /// the block's temperature *before* the step (the leakage feedback
-    /// convention), each extra watt is also accumulated into `total`, and
-    /// the effective per-block watts are written back into `powers`.
-    /// Bit-identical to the three-pass reference (scale loop, leakage
-    /// loop, [`step`](BlockModel::step)) as long as the caller's reference
-    /// accumulates `total` in block order, because per-block fusion
-    /// reorders no floating-point operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model does not have exactly `N` blocks.
-    pub fn step_fused<const N: usize>(
-        &mut self,
-        powers: &mut [Watts; N],
-        scale: f64,
-        total: &mut f64,
-        mut extra: impl FnMut(usize, Celsius) -> Watts,
-    ) {
-        let BlockModel { params, temps, heatsink, decay, .. } = self;
-        let temps: &mut [f64; N] = temps.as_mut_slice().try_into().expect("one power per block");
-        let decay: &[f64; N] = decay.as_slice().try_into().expect("one decay per block");
-        assert_eq!(params.len(), N, "one power per block");
-        for i in 0..N {
-            let mut p = powers[i] * scale;
-            let lp = extra(i, temps[i]);
-            p += lp;
-            *total += lp;
-            powers[i] = p;
-            let t_ss = *heatsink + p * params[i].r;
-            temps[i] = t_ss + (temps[i] - t_ss) * decay[i];
-        }
-    }
-
     /// Advances `cycles` steps under constant per-block powers.
     ///
     /// Bit-identical to calling [`step_fixed`](BlockModel::step_fixed)
@@ -581,71 +521,6 @@ mod tests {
                 a.step(&powers);
                 b.step_fixed(&powers);
                 assert_eq!(a.temperatures(), b.temperatures());
-            }
-        }
-    }
-
-    #[test]
-    fn property_step_scaled_matches_scale_then_step_bitwise() {
-        let mut rng = tdtm_prng::Rng::new(0xCAFE_0002);
-        for _ in 0..200 {
-            let mut a = random_model(&mut rng);
-            let mut b = a.clone();
-            for _ in 0..20 {
-                let powers = random_powers(&mut rng);
-                let scale = 0.2 + rng.next_f64() * 1.3;
-                // Reference: separate scale pass, then step.
-                let mut scaled = powers;
-                for p in &mut scaled {
-                    *p *= scale;
-                }
-                a.step(&scaled);
-                // Fused pass; also pins the written-back effective watts.
-                let mut fused = powers;
-                b.step_scaled(&mut fused, scale);
-                assert_eq!(a.temperatures(), b.temperatures());
-                assert_eq!(scaled, fused);
-            }
-        }
-    }
-
-    #[test]
-    fn property_step_fused_matches_three_pass_reference_bitwise() {
-        let mut rng = tdtm_prng::Rng::new(0xBEEF_0003);
-        for _ in 0..200 {
-            let mut a = random_model(&mut rng);
-            let mut b = a.clone();
-            // A synthetic temperature-dependent "leakage": any per-block
-            // function of the pre-step temperature must fuse exactly.
-            let coeff: [f64; 7] = std::array::from_fn(|_| rng.next_f64() * 0.05);
-            for _ in 0..20 {
-                let powers = random_powers(&mut rng);
-                let scale = 0.2 + rng.next_f64() * 1.3;
-                let base_total = rng.next_f64() * 100.0;
-
-                // Three-pass reference: scale loop, extra loop (reading
-                // pre-step temperatures, accumulating total in block
-                // order), then step.
-                let mut ref_powers = powers;
-                for p in &mut ref_powers {
-                    *p *= scale;
-                }
-                let mut ref_total = base_total;
-                for i in 0..7 {
-                    let lp = coeff[i] * (a.temperatures()[i] - 15.0);
-                    ref_powers[i] += lp;
-                    ref_total += lp;
-                }
-                a.step(&ref_powers);
-
-                let mut fused_powers = powers;
-                let mut fused_total = base_total;
-                b.step_fused(&mut fused_powers, scale, &mut fused_total, |i, t| {
-                    coeff[i] * (t - 15.0)
-                });
-                assert_eq!(a.temperatures(), b.temperatures());
-                assert_eq!(ref_powers, fused_powers);
-                assert_eq!(ref_total.to_bits(), fused_total.to_bits());
             }
         }
     }

@@ -321,7 +321,7 @@ impl CoupledChip {
     ///
     /// Panics if `powers` does not hold one slice per core of one power
     /// per block.
-    pub fn step(&mut self, powers: &[Vec<Watts>]) {
+    pub fn step<P: AsRef<[Watts]>>(&mut self, powers: &[P]) {
         self.step_inner(powers, None);
     }
 
@@ -335,18 +335,18 @@ impl CoupledChip {
     ///
     /// Panics if `active` does not hold one flag per core, or on any
     /// [`step`](CoupledChip::step) shape violation.
-    pub fn step_masked(&mut self, powers: &[Vec<Watts>], active: &[bool]) {
+    pub fn step_masked<P: AsRef<[Watts]>>(&mut self, powers: &[P], active: &[bool]) {
         assert_eq!(active.len(), self.cores.len(), "one active flag per core");
         self.step_inner(powers, Some(active));
     }
 
-    fn step_inner(&mut self, powers: &[Vec<Watts>], active: Option<&[bool]>) {
+    fn step_inner<P: AsRef<[Watts]>>(&mut self, powers: &[P], active: Option<&[bool]>) {
         assert_eq!(powers.len(), self.cores.len(), "one power set per core");
         let live = |k: usize| active.is_none_or(|a| a[k]);
         if self.edges.is_empty() {
             for (k, (core, p)) in self.cores.iter_mut().zip(powers).enumerate() {
                 if live(k) {
-                    core.step(p);
+                    core.step(p.as_ref());
                 }
             }
             return;
@@ -366,7 +366,7 @@ impl CoupledChip {
             if !live(k) {
                 continue;
             }
-            for (h, (&p, &f)) in self.heat.iter_mut().zip(powers[k].iter().zip(&self.flows[k])) {
+            for (h, (&p, &f)) in self.heat.iter_mut().zip(powers[k].as_ref().iter().zip(&self.flows[k])) {
                 *h = p + f;
             }
             core.step(&self.heat);
@@ -424,8 +424,8 @@ mod tests {
     #[test]
     fn uncoupled_chip_steps_bit_identically_to_lone_models() {
         // The N=1 / zero-coupling degenerate case must be *exactly* the
-        // single-core kernel — this is what lets the simulator keep its
-        // fused fast path.
+        // single-core kernel — this is what makes a one-core chip
+        // byte-identical to the single-core simulator.
         let dt = 1.0 / 1.5e9;
         let plan = MulticoreFloorplan::new(2).coupling(0.0);
         let mut chip = plan.build_chip(103.0, dt);

@@ -69,21 +69,23 @@ echo "== tier 1: bench regression smoke (simulator_throughput vs BENCH_simloop.j
 cargo bench -p tdtm-bench --bench simulator_throughput -- --quick --check "$PWD/BENCH_simloop.json"
 
 echo "== tier 1: idle-gap skip identity smoke (TDTM_SKIP=0 vs default) =="
-# One toggle-policy chip cell both ways through the env-var opt-out: the
-# per-core and chip summaries (cycles, IPC, emergency/stress, peak
-# temperature) must match to the last printed digit. The chip path is the
-# one whose report-producing loop skips even under telemetry; the
-# single-core telemetry run routes through the never-skipping reference
-# loop and would make this check vacuous.
-ON_ERR="$(TDTM_INSTS=20000 cargo run -q --release -p tdtm-bench --bin trace_run -- gcc toggle1 --cores 2 --stride 1000 2>&1 > /dev/null)"
-OFF_ERR="$(TDTM_INSTS=20000 TDTM_SKIP=0 cargo run -q --release -p tdtm-bench --bin trace_run -- gcc toggle1 --cores 2 --stride 1000 2>&1 > /dev/null)"
-REPORT='^(core [0-9]|chip: [0-9]|        hottest)'
-SKIP_ON="$(echo "$ON_ERR" | grep -E "$REPORT")"
-SKIP_OFF="$(echo "$OFF_ERR" | grep -E "$REPORT")"
-test -n "$SKIP_ON" || { echo "idle-gap skip smoke: no report lines captured"; exit 1; }
-echo "$ON_ERR" | grep -E '^skipped idle windows .* [1-9][0-9]* windows' > /dev/null \
-  || { echo "idle-gap skip smoke: default run skipped no windows (vacuous)"; exit 1; }
-diff <(echo "$SKIP_ON") <(echo "$SKIP_OFF") || { echo "idle-gap skipping perturbed the run"; exit 1; }
+# One toggle-policy cell both ways through the env-var opt-out, on a single
+# core and on a 2-core chip, each under full telemetry. Observed runs take
+# the same skipping cycle loop as plain runs, so the report summaries
+# (cycles, IPC, emergency/stress, peak temperature) and every deterministic
+# metric line must match to the last printed digit, and the default run
+# must actually have skipped.
+REPORT='^(run: |     emergency|     hottest|core [0-9]|chip: [0-9]|        hottest|  [a-z_]+ +[0-9n])'
+for CELL in "" "--cores 2"; do
+  ON_ERR="$(TDTM_INSTS=20000 cargo run -q --release -p tdtm-bench --bin trace_run -- gcc toggle1 $CELL --stride 1000 2>&1 > /dev/null)"
+  OFF_ERR="$(TDTM_INSTS=20000 TDTM_SKIP=0 cargo run -q --release -p tdtm-bench --bin trace_run -- gcc toggle1 $CELL --stride 1000 2>&1 > /dev/null)"
+  SKIP_ON="$(echo "$ON_ERR" | grep -E "$REPORT")"
+  SKIP_OFF="$(echo "$OFF_ERR" | grep -E "$REPORT")"
+  test -n "$SKIP_ON" || { echo "idle-gap skip smoke ($CELL): no report lines captured"; exit 1; }
+  echo "$ON_ERR" | grep -E '^skipped idle windows .* [1-9][0-9]* windows' > /dev/null \
+    || { echo "idle-gap skip smoke ($CELL): default run skipped no windows (vacuous)"; exit 1; }
+  diff <(echo "$SKIP_ON") <(echo "$SKIP_OFF") || { echo "idle-gap skipping perturbed the run ($CELL)"; exit 1; }
+done
 
 echo "== tier 1: grid throughput smoke (grid_throughput vs BENCH_grid.json) =="
 # Full 18x5 hot grid through the uncached per-cell dispatch; fails if it

@@ -1,11 +1,11 @@
 //! The run-loop specialization contract.
 //!
-//! `Simulator::run` dispatches between a specialized uninstrumented
-//! chunked loop and the fully instrumented reference loop (see the "hot
-//! path" section of DESIGN.md). These tests pin the contract that the
-//! dispatch is invisible: the two loops produce byte-identical reports,
-//! attaching any instrumentation never perturbs the simulation, and the
-//! trace/DTM stride conventions hold.
+//! `Simulator::run` drives the one chunked cycle loop, and
+//! `set_reference_loop` selects the plain per-cycle reference oracle (see
+//! the "hot path" section of DESIGN.md). These tests pin the contract
+//! that the choice is invisible: the loop and the oracle produce
+//! byte-identical reports, attaching any observer never perturbs the
+//! simulation, and the trace/DTM stride conventions hold.
 
 use tdtm::core::{SimConfig, Simulator};
 use tdtm::dtm::PolicyKind;
@@ -225,8 +225,8 @@ fn parked_multicore_chip_reports_are_byte_identical_with_skipping() {
 
 #[test]
 fn telemetry_never_perturbs_the_simulation() {
-    // Telemetry collection routes through the reference loop; a plain run
-    // takes the fast loop. The report must not notice.
+    // Telemetry is an observer on the same cycle loop a plain run takes,
+    // skipping included. The report must not notice.
     let (plain, plain_duty) = run_with(hot_cfg(PolicyKind::Pid), "gcc", false);
     let w = by_name("gcc").expect("suite workload");
     let mut sim = Simulator::for_workload(hot_cfg(PolicyKind::Pid), &w);
@@ -253,8 +253,8 @@ fn proxies_never_perturb_the_simulation_and_count_deterministically() {
     assert_eq!(c1, c2, "agreement counts must be deterministic");
     assert_byte_identical(&r1, &r2, "proxied runs");
 
-    // Attaching proxies forces the reference loop; the report must still
-    // be byte-identical to the fast uninstrumented run.
+    // Proxies observe the same cycle loop; the report must still be
+    // byte-identical to the unobserved run.
     let (plain, _) = run_with(hot_cfg(PolicyKind::None), "gcc", false);
     assert_byte_identical(&plain, &r1, "proxies on vs off");
 }
