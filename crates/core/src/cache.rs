@@ -35,11 +35,18 @@
 //! [`ResultCache::claim`] gives exactly one caller the right to compute
 //! each fingerprint; concurrent claimers block on a condvar until the
 //! owner [`publish`](ResultCache::publish)es (or releases on panic) and
-//! then share the artifact. Identical cells within one grid therefore
-//! simulate once.
+//! then share the artifact.
+//!
+//! The engine claims every cell of a grid up front, on the calling
+//! thread and in fingerprint order, before any cell simulates: each cell
+//! is a hit, a follower of an identical cell earlier in the same grid
+//! (it never claims; it replays its leader's result once the leader has
+//! run), or a claimed miss that a worker simulates and publishes. So
+//! identical cells within one grid simulate once, workers never block,
+//! and two grids sharing a cache cannot wait on each other in a cycle.
 //!
 //! Set `TDTM_CACHE=0` to opt out entirely (mirroring `TDTM_SKIP`); the
-//! engine then takes exactly the pre-cache paths.
+//! engine then simulates every cell and stores nothing.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -516,18 +523,6 @@ impl ResultCache {
             cache_misses: self.misses.load(Ordering::Relaxed),
             cache_inflight_waits: self.inflight_waits.load(Ordering::Relaxed),
         }
-    }
-
-    /// Non-claiming probe: the artifact if cached (memory or disk),
-    /// without counting or deduping. Promotes disk hits to memory.
-    pub fn lookup(&self, fp: Fingerprint) -> Option<Arc<CellArtifact>> {
-        let mut st = self.state.lock().expect("result cache lock poisoned");
-        if let Some(artifact) = st.mem.get(&fp.0) {
-            return Some(Arc::clone(artifact));
-        }
-        let artifact = self.disk_lookup(fp)?;
-        st.mem.insert(fp.0, Arc::clone(&artifact));
-        Some(artifact)
     }
 
     /// Resolves a fingerprint to either a cached artifact or ownership

@@ -12,6 +12,16 @@
 //! `TDTM_THREADS=1` reproduces `TDTM_THREADS=8` exactly (only the
 //! wall-clock observability in [`RunObservation`] varies).
 //!
+//! Every `run_threads*` and `run_streaming*` entry point takes one cell
+//! path. Before any cell simulates, each is resolved against the result
+//! cache ([`crate::cache`]): a hit, a follower of an identical cell in the
+//! same grid, or a claimed miss; with no cache every cell is a miss. Only
+//! the misses go to the workers, and they simulate through
+//! [`run_chip_cell`](crate::multicore::run_chip_cell), which picks the
+//! single-core or the chip simulator from the cell's configuration. A
+//! streamed run adds telemetry on the misses and one [`CellRecord`] per
+//! cell, emitted as the cell completes.
+//!
 //! ```
 //! use tdtm_core::engine::ExperimentGrid;
 //! use tdtm_core::experiments::ExperimentScale;
@@ -26,20 +36,17 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::cache::{self, CacheStats, CellArtifact, Claim, ResultCache};
+use crate::cache::{self, CacheStats, CellArtifact, Claim, ClaimGuard, Fingerprint, ResultCache};
 use crate::config::SimConfig;
 use crate::experiments::ExperimentScale;
 use crate::metrics::RunReport;
 use crate::simulator::Simulator;
 use tdtm_dtm::PolicyKind;
-use tdtm_telemetry::{
-    CellRecord, Histogram, HistogramSnapshot, Phase, PhaseProfile, RegistrySnapshot, StampedSink,
-    StreamSink, Telemetry, TelemetryConfig,
-};
+use tdtm_telemetry::{CellRecord, RegistrySnapshot, StampedSink, StreamSink, TelemetryConfig};
 use tdtm_workloads::{suite, Workload};
 
 /// A configuration override applied to a cell's [`SimConfig`] after the
@@ -108,20 +115,6 @@ where
     keyed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Assembles one cell's [`RunResult`] from its report — the shared
-/// tail of the simulated, cached, and follower paths.
-fn result_from_report(cell: &GridCell, report: RunReport, wall: f64) -> RunResult {
-    RunResult {
-        index: cell.index,
-        bench: cell.workload.name.to_string(),
-        policy: cell.policy,
-        variant: cell.variant,
-        obs: RunObservation::from_report(&report, wall),
-        report,
-        extra: (),
-    }
-}
-
 /// One cell of an [`ExperimentGrid`]: a workload under a policy with a
 /// named configuration variant, at a fixed position in the grid.
 #[derive(Clone)]
@@ -174,13 +167,21 @@ impl GridCell {
         Arc::clone(&self.power)
     }
 
-    /// Runs this cell, dispatching on its chip configuration: a plain
-    /// single-core cell takes [`GridCell::simulator`], while a cell whose
-    /// variant configures multiple cores or a supervisor runs on the
-    /// multicore chip simulator (returning core 0's report plus the full
+    /// Runs this cell unobserved through
+    /// [`run_chip_cell`](crate::multicore::run_chip_cell), the engine's
+    /// own cell runner: a plain single-core cell runs on the single-core
+    /// simulator, while a cell whose variant configures multiple cores or
+    /// a supervisor runs on the multicore chip simulator (returning core
+    /// 0's report plus the full
     /// [`ChipReport`](crate::multicore::ChipReport)).
     pub fn run_chip(&self) -> (RunReport, Option<crate::multicore::ChipReport>) {
-        crate::multicore::run_chip_cell(self.config(), &self.workload, self.power_model())
+        let (report, chip, _) = crate::multicore::run_chip_cell(
+            self.config(),
+            &self.workload,
+            self.power_model(),
+            None,
+        );
+        (report, chip)
     }
 }
 
@@ -260,6 +261,20 @@ pub struct RunResult<R = ()> {
 }
 
 impl<R> RunResult<R> {
+    /// `cell`'s result: the one constructor behind simulated, cached,
+    /// follower, and custom-driver cells.
+    fn new(cell: &GridCell, report: RunReport, wall_seconds: f64, extra: R) -> RunResult<R> {
+        RunResult {
+            index: cell.index,
+            bench: cell.workload.name.to_string(),
+            policy: cell.policy,
+            variant: cell.variant,
+            obs: RunObservation::from_report(&report, wall_seconds),
+            report,
+            extra,
+        }
+    }
+
     /// The cell label (`bench/policy[/variant]`).
     pub fn label(&self) -> String {
         if self.variant == "base" {
@@ -268,22 +283,6 @@ impl<R> RunResult<R> {
             format!("{}/{}/{}", self.bench, self.policy, self.variant)
         }
     }
-}
-
-/// Merged telemetry of a whole grid execution.
-///
-/// The simulation metrics merge per-cell snapshots *in cell order*, so
-/// `sim` is byte-identical for any worker-thread count. The phase profile
-/// and wall-time histogram are host-side timing and vary run to run.
-#[derive(Clone, Debug)]
-pub struct GridTelemetry {
-    /// Deterministic simulation metrics summed over all cells.
-    pub sim: RegistrySnapshot,
-    /// Host-time phase profile summed over all cells (includes one
-    /// `GridCell` entry per cell).
-    pub phases: PhaseProfile,
-    /// Histogram of per-cell wall time in milliseconds.
-    pub cell_wall_ms: HistogramSnapshot,
 }
 
 /// All results of one grid execution, in cell order.
@@ -295,9 +294,6 @@ pub struct GridResults<R = ()> {
     pub threads: usize,
     /// Host wall-clock seconds for the whole grid.
     pub wall_seconds: f64,
-    /// Merged grid telemetry, populated by
-    /// [`ExperimentGrid::run_telemetry`] (`None` for plain runs).
-    pub telemetry: Option<GridTelemetry>,
     /// Result-cache tallies for this grid (`None` when the grid ran
     /// without a cache, e.g. `TDTM_CACHE=0` or an explicit uncached
     /// path).
@@ -313,11 +309,6 @@ impl<R> GridResults<R> {
     /// Total thermal steps across all cells.
     pub fn total_thermal_steps(&self) -> u64 {
         self.runs.iter().map(|r| r.obs.thermal_steps).sum()
-    }
-
-    /// Total instructions retired across all cells.
-    pub fn total_committed(&self) -> u64 {
-        self.runs.iter().map(|r| r.obs.committed).sum()
     }
 
     /// Aggregate simulated cycles per host second over the grid (total
@@ -454,107 +445,23 @@ impl ExperimentGrid {
     /// simulated cells replay their byte-identical report without
     /// simulating, and identical cells within the grid simulate once.
     pub fn run_threads(&self, threads: usize) -> GridResults {
-        match ResultCache::global() {
-            Some(cache) => self.run_threads_cached(threads, cache),
-            None => self.run_threads_uncached(threads),
-        }
+        self.run_cells(threads, ResultCache::global(), None, |_| ())
     }
 
     /// [`run_threads`](ExperimentGrid::run_threads) without the result
-    /// cache: every cell simulates through [`GridCell::run_chip`] — the
-    /// reference path identity tests and benchmarks compare against.
+    /// cache: every cell simulates — the reference path identity tests
+    /// and benchmarks compare against.
     pub fn run_threads_uncached(&self, threads: usize) -> GridResults {
-        self.run_with_threads(threads, |cell| {
-            let (report, _chip) = cell.run_chip();
-            (report, ())
-        })
+        self.run_cells(threads, None, None, |_| ())
     }
 
     /// [`run_threads`](ExperimentGrid::run_threads) against an explicit
     /// [`ResultCache`] (tests and benchmarks use their own instead of
-    /// the process-wide one). Cached cells replay without simulating;
-    /// misses run through [`GridCell::run_chip`] and publish their
-    /// artifact as they complete; identical cells within the grid are
-    /// deduped against the in-flight leader. Reports are byte-identical
-    /// to [`run_threads_uncached`](ExperimentGrid::run_threads_uncached)
+    /// the process-wide one). Reports are byte-identical to
+    /// [`run_threads_uncached`](ExperimentGrid::run_threads_uncached)
     /// — pinned by `tests/engine.rs`.
     pub fn run_threads_cached(&self, threads: usize, cache: &ResultCache) -> GridResults {
-        let cells = self.cells();
-        let grid_start = Instant::now();
-        let fps = cache::cell_fingerprints(&cells);
-        let mut runs: Vec<Option<RunResult>> = (0..cells.len()).map(|_| None).collect();
-        let mut stats = CacheStats::default();
-
-        // Resolve each cell: cache hit, follower of an identical cell
-        // already claimed in this grid (resolved after the leader runs —
-        // a follower must not block inside a worker that could also hold
-        // its leader), or a claimed miss to simulate.
-        let mut leader_of: HashMap<u128, usize> = HashMap::new();
-        let mut followers: Vec<(usize, usize)> = Vec::new();
-        let mut guards = Vec::new();
-        let mut miss_cells: Vec<&GridCell> = Vec::new();
-        for (i, cell) in cells.iter().enumerate() {
-            let start = Instant::now();
-            if let Some(&leader) = leader_of.get(&fps[i].0) {
-                followers.push((i, leader));
-                stats.cache_hits += 1;
-                stats.cache_inflight_waits += 1;
-                continue;
-            }
-            match cache.claim(fps[i]) {
-                Claim::Hit { artifact, waited } => {
-                    stats.cache_hits += 1;
-                    if waited {
-                        stats.cache_inflight_waits += 1;
-                    }
-                    let wall = start.elapsed().as_secs_f64().max(1e-9);
-                    runs[i] = Some(result_from_report(cell, artifact.report.clone(), wall));
-                }
-                Claim::Miss(guard) => {
-                    guards.push(guard);
-                    leader_of.insert(fps[i].0, i);
-                    miss_cells.push(cell);
-                }
-            }
-        }
-        stats.cache_misses = miss_cells.len() as u64;
-
-        // Simulate the misses, publishing each artifact the moment its
-        // cell completes (so concurrent grids sharing the cache can hit
-        // it while this grid still runs).
-        let miss_runs = shard_map(&miss_cells, threads, |_, cell| {
-            let start = Instant::now();
-            let (report, _chip) = cell.run_chip();
-            let run = result_from_report(cell, report, start.elapsed().as_secs_f64());
-            cache.publish(
-                fps[run.index],
-                CellArtifact { report: run.report.clone(), record: None },
-            );
-            run
-        });
-        for run in miss_runs {
-            let i = run.index;
-            runs[i] = Some(run);
-        }
-        drop(guards); // all claims published; drops are no-ops
-
-        // Followers replay their leader's report under their own cell
-        // identity.
-        for (i, leader) in followers {
-            let start = Instant::now();
-            let report =
-                runs[leader].as_ref().expect("leader cell was simulated").report.clone();
-            let wall = start.elapsed().as_secs_f64().max(1e-9);
-            runs[i] = Some(result_from_report(&cells[i], report, wall));
-        }
-
-        GridResults {
-            runs: runs.into_iter().map(|r| r.expect("every cell resolved")).collect(),
-            threads,
-            wall_seconds: grid_start.elapsed().as_secs_f64(),
-            telemetry: None,
-            cache_stats: Some(stats),
-        }
+        self.run_cells(threads, Some(cache), None, |_| ())
     }
 
     /// Runs every cell through a custom driver on [`thread_count`]
@@ -582,62 +489,14 @@ impl ExperimentGrid {
         let runs = shard_map(&cells, threads, |_, cell| {
             let start = Instant::now();
             let (report, extra) = f(cell);
-            let wall = start.elapsed().as_secs_f64();
-            RunResult {
-                index: cell.index,
-                bench: cell.workload.name.to_string(),
-                policy: cell.policy,
-                variant: cell.variant,
-                obs: RunObservation::from_report(&report, wall),
-                report,
-                extra,
-            }
+            RunResult::new(cell, report, start.elapsed().as_secs_f64(), extra)
         });
         GridResults {
             runs,
             threads,
             wall_seconds: grid_start.elapsed().as_secs_f64(),
-            telemetry: None,
             cache_stats: None,
         }
-    }
-
-    /// Runs every cell with the given telemetry enabled and merges the
-    /// per-cell collections into [`GridResults::telemetry`]. Reports stay
-    /// byte-identical to a plain [`run`](ExperimentGrid::run), and the
-    /// merged simulation metrics (`telemetry.sim`) are identical for any
-    /// `threads` value because per-cell snapshots merge in cell order.
-    pub fn run_telemetry(&self, threads: usize, cfg: &TelemetryConfig) -> GridResults<Telemetry> {
-        let mut results = self.run_with_threads(threads, |cell| {
-            let mut sim = cell.simulator();
-            sim.enable_telemetry(cfg);
-            let report = sim.run();
-            let telemetry = sim.take_telemetry().expect("telemetry was enabled");
-            (report, telemetry)
-        });
-        let mut sim_merged: Option<RegistrySnapshot> = None;
-        let mut phases = PhaseProfile::new();
-        let wall_hist = Histogram::new(0.0, 10_000.0, 100);
-        for run in &results.runs {
-            if let Some(metrics) = &run.extra.metrics {
-                let snap = metrics.snapshot();
-                match &mut sim_merged {
-                    Some(acc) => acc.merge_from(&snap),
-                    None => sim_merged = Some(snap),
-                }
-            }
-            if let Some(profile) = &run.extra.phases {
-                phases.merge_from(profile);
-            }
-            phases.add(Phase::GridCell, (run.obs.wall_seconds * 1e9) as u64, 1);
-            wall_hist.record(run.obs.wall_seconds * 1e3);
-        }
-        results.telemetry = Some(GridTelemetry {
-            sim: sim_merged.unwrap_or_default(),
-            phases,
-            cell_wall_ms: wall_hist.snapshot(),
-        });
-        results
     }
 
     /// Runs every cell with the given telemetry enabled, streaming one
@@ -649,7 +508,9 @@ impl ExperimentGrid {
     ///
     /// Records are emitted in completion order with a monotone `seq`
     /// stamp assigned under the sink's lock, so the stream's physical
-    /// order always matches `seq`. Determinism contract (pinned by
+    /// order always matches `seq`: cache hits first (they complete when
+    /// resolved), then simulated cells as they finish, then in-grid twins
+    /// of simulated cells. Determinism contract (pinned by
     /// `tests/observability.rs`): sort any N-thread stream by cell
     /// `index` and its deterministic fields equal a 1-thread run's stream
     /// ([`CellRecord::deterministic_eq`]); reports stay byte-identical to
@@ -669,7 +530,7 @@ impl ExperimentGrid {
         cfg: &TelemetryConfig,
         sink: &mut dyn StreamSink,
     ) -> GridResults<CellRecord> {
-        self.run_streaming_inner(threads, cfg, sink, ResultCache::global())
+        self.run_cells(threads, ResultCache::global(), Some((cfg, sink)), streamed_record)
     }
 
     /// [`run_streaming`](ExperimentGrid::run_streaming) against an
@@ -682,184 +543,263 @@ impl ExperimentGrid {
         sink: &mut dyn StreamSink,
         cache: &ResultCache,
     ) -> GridResults<CellRecord> {
-        self.run_streaming_inner(threads, cfg, sink, Some(cache))
+        self.run_cells(threads, Some(cache), Some((cfg, sink)), streamed_record)
     }
 
-    fn run_streaming_inner(
+    /// The one cell path behind every `run_threads*` and `run_streaming*`
+    /// entry point. Every cell is first [`resolve`]d — a cache hit, a
+    /// follower of an identical cell simulated in this grid, or a claimed
+    /// miss (with no cache, every cell is a miss). Hits replay at once,
+    /// the misses simulate through
+    /// [`run_chip_cell`](crate::multicore::run_chip_cell) on `threads`
+    /// workers and publish their artifact as each completes, and the
+    /// followers replay their leader last. A streamed run (`stream` set)
+    /// collects telemetry on the misses, builds each cell's record and
+    /// emits it as the cell completes; `extra` shapes that record (absent
+    /// for plain runs) into the result payload.
+    fn run_cells<X>(
         &self,
         threads: usize,
-        cfg: &TelemetryConfig,
-        sink: &mut dyn StreamSink,
         cache: Option<&ResultCache>,
-    ) -> GridResults<CellRecord> {
+        stream: Option<(&TelemetryConfig, &mut dyn StreamSink)>,
+        extra: fn(Option<CellRecord>) -> X,
+    ) -> GridResults<X> {
         let cells = self.cells();
         let grid_start = Instant::now();
-        // Streamed artifacts live under their own fingerprint domain
-        // (cell key ⊕ telemetry config): the stored record embeds a
-        // metric snapshot, so the telemetry config is part of the key.
-        let fps = match cache {
-            Some(_) => cache::cell_fingerprints(&cells)
-                .into_iter()
-                .map(|fp| cache::stream_fingerprint(fp, cfg))
-                .collect(),
-            None => Vec::new(),
-        };
-        let hits = AtomicU64::new(0);
-        let misses = AtomicU64::new(0);
-        let inflight_waits = AtomicU64::new(0);
-        let stamped = StampedSink::new(sink);
-        let runs = shard_map(&cells, threads, |i, cell| {
-            let start = Instant::now();
-            // A worker holds at most one claim at a time, so blocking on
-            // an identical in-flight cell (another worker's claim) can
-            // never self-deadlock; a 1-thread run completes each cell —
-            // publishing its artifact — before claiming the next.
-            let mut claim = None;
-            if let Some(cache) = cache {
-                match cache.claim(fps[i]) {
-                    Claim::Hit { artifact, waited } if artifact.record.is_some() => {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        if waited {
-                            inflight_waits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let wall = start.elapsed().as_secs_f64().max(1e-9);
-                        let stored = artifact.record.as_ref().expect("checked above");
-                        // Replay the stored record under this cell's
-                        // identity: the key is content, so everything
-                        // except identity and host-side stamps is the
-                        // stored bytes.
-                        let mut record = stored.clone();
-                        record.index = cell.index;
-                        record.label = cell.label();
-                        record.bench = cell.workload.name.to_string();
-                        record.policy = cell.policy.to_string();
-                        record.variant = cell.variant.to_string();
-                        record.wall_seconds = wall;
-                        record.cached = Some(true);
-                        stamped.emit(&mut record);
-                        return RunResult {
-                            index: cell.index,
-                            bench: cell.workload.name.to_string(),
-                            policy: cell.policy,
-                            variant: cell.variant,
-                            obs: RunObservation::from_report(&artifact.report, wall),
-                            report: artifact.report.clone(),
-                            extra: record,
-                        };
-                    }
-                    // An artifact without a record is a malformed entry
-                    // for this domain (e.g. hand-edited disk file):
-                    // recompute below and overwrite it.
-                    Claim::Hit { .. } => {
-                        misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Claim::Miss(guard) => {
-                        misses.fetch_add(1, Ordering::Relaxed);
-                        claim = Some(guard);
-                    }
-                };
+        let telemetry = stream.as_ref().map(|&(cfg, _)| cfg);
+        let stamped = stream.map(|(_, sink)| StampedSink::new(sink));
+        let emit = |record: &mut Option<CellRecord>| {
+            if let (Some(sink), Some(record)) = (&stamped, record) {
+                sink.emit(record);
             }
-            let cell_cfg = cell.config();
-            let single = cell_cfg.chip.cores == 1 && cell_cfg.chip.supervisor.is_none();
-            let (report, chip, snapshot) = if single {
-                let mut sim = cell.simulator();
-                sim.enable_telemetry(cfg);
-                let report = sim.run();
-                let telemetry = sim.take_telemetry().expect("telemetry was enabled");
-                let snapshot = telemetry.metrics.as_ref().map(|m| m.snapshot());
-                (report, None, snapshot)
-            } else {
-                let mut sim = crate::multicore::MulticoreSim::for_workload_with_power(
-                    cell_cfg,
-                    &cell.workload,
-                    cell.power_model(),
-                );
-                sim.enable_telemetry(cfg);
-                let chip = sim.run();
-                let telemetry = sim.take_telemetry().expect("telemetry was enabled");
-                let snapshot = telemetry.merged_metrics();
-                (chip.cores[0].clone(), Some(chip), snapshot)
-            };
-            let wall = start.elapsed().as_secs_f64();
+        };
 
-            // Emergency/stress and the hottest block are chip-wide when a
-            // chip ran; core 0's report supplies the throughput numbers.
-            let (emergency_cycles, stress_cycles, hottest_block, hottest_temp_c) = match &chip {
-                Some(chip) => {
-                    let (core, block, temp) = chip.hottest();
-                    (
-                        chip.emergency_cycles(),
-                        chip.cores.iter().map(|r| r.stress_cycles).sum(),
-                        chip.cores[core].blocks[block].name.clone(),
-                        temp,
-                    )
-                }
-                None => match report.hottest_block() {
-                    Some(b) => {
-                        (report.emergency_cycles, report.stress_cycles, b.name.clone(), b.max_temp)
+        let mut stats = CacheStats::default();
+        let (fps, plan, guards) = match cache {
+            Some(cache) => {
+                let mut fps = cache::cell_fingerprints(&cells);
+                // Streamed artifacts live under their own fingerprint
+                // domain (cell key ⊕ telemetry config): the stored record
+                // embeds a metric snapshot, so the telemetry config is
+                // part of the key.
+                if let Some(cfg) = telemetry {
+                    for fp in &mut fps {
+                        *fp = cache::stream_fingerprint(*fp, cfg);
                     }
-                    None => (report.emergency_cycles, report.stress_cycles, String::new(), f64::NAN),
-                },
-            };
-            let mut record = CellRecord {
-                seq: 0, // stamped at emit
-                index: cell.index,
-                label: cell.label(),
-                bench: cell.workload.name.to_string(),
-                policy: cell.policy.to_string(),
-                variant: cell.variant.to_string(),
-                wall_seconds: wall,
-                elapsed_seconds: 0.0, // stamped at emit
-                thermal_steps: report.total_cycles,
-                committed: report.committed,
-                dtm_samples: report.samples,
-                ipc: report.ipc,
-                emergency_cycles,
-                stress_cycles,
-                hottest_block,
-                hottest_temp_c,
-                metrics: snapshot
-                    .map(|s| s.counters.iter().map(|&(n, v)| (n.to_string(), v)).collect())
-                    .unwrap_or_default(),
-                cached: cache.map(|_| false),
-            };
+                }
+                let (plan, guards) = resolve(&fps, cache, telemetry.is_some(), &mut stats);
+                (fps, plan, guards)
+            }
+            None => (Vec::new(), cells.iter().map(|_| Resolution::Miss).collect(), Vec::new()),
+        };
+        let mut done: Vec<Option<Outcome>> = (0..cells.len()).map(|_| None).collect();
+
+        for (i, step) in plan.iter().enumerate() {
+            if let Resolution::Hit { artifact, wall } = step {
+                let mut record = artifact
+                    .record
+                    .as_ref()
+                    .map(|stored| with_identity(stored.clone(), &cells[i], *wall, Some(true)));
+                emit(&mut record);
+                done[i] = Some((artifact.report.clone(), *wall, record));
+            }
+        }
+
+        let misses: Vec<&GridCell> =
+            cells.iter().filter(|cell| matches!(plan[cell.index], Resolution::Miss)).collect();
+        let simulated = shard_map(&misses, threads, |_, cell| {
+            let start = Instant::now();
+            let (report, chip, metrics) = crate::multicore::run_chip_cell(
+                cell.config(),
+                &cell.workload,
+                cell.power_model(),
+                telemetry,
+            );
+            let wall = start.elapsed().as_secs_f64();
+            let mut record = telemetry.map(|_| {
+                let fresh = fresh_record(&report, chip.as_ref(), metrics);
+                with_identity(fresh, cell, wall, cache.map(|_| false))
+            });
             if let Some(cache) = cache {
                 // Publish before stamping: the stored record is the
                 // pre-stamp normal form (seq 0, zero wall/elapsed, no
                 // provenance flag) so the artifact's bytes are a pure
                 // function of the fingerprint.
-                let mut stored = record.clone();
-                stored.wall_seconds = 0.0;
-                stored.cached = None;
-                let artifact = CellArtifact { report: report.clone(), record: Some(stored) };
-                match claim.take() {
-                    Some(guard) => drop(guard.complete(artifact)),
-                    // Wrong-shaped hit (no record): overwrite in place.
-                    None => drop(cache.publish(fps[i], artifact)),
-                }
+                let stored = record
+                    .as_ref()
+                    .map(|r| CellRecord { wall_seconds: 0.0, cached: None, ..r.clone() });
+                let artifact = CellArtifact { report: report.clone(), record: stored };
+                cache.publish(fps[cell.index], artifact);
             }
-            stamped.emit(&mut record);
-            RunResult {
-                index: cell.index,
-                bench: cell.workload.name.to_string(),
-                policy: cell.policy,
-                variant: cell.variant,
-                obs: RunObservation::from_report(&report, wall),
-                report,
-                extra: record,
-            }
+            emit(&mut record);
+            (cell.index, (report, wall, record))
         });
+        for (i, outcome) in simulated {
+            done[i] = Some(outcome);
+        }
+        drop(guards); // every claim published; the drops are no-ops
+
+        for (i, step) in plan.iter().enumerate() {
+            if let Resolution::Follower(leader) = *step {
+                let start = Instant::now();
+                let (report, _, record) = done[leader].as_ref().expect("leader cell was simulated");
+                let report = report.clone();
+                let wall = start.elapsed().as_secs_f64().max(1e-9);
+                let mut record =
+                    record.as_ref().map(|r| with_identity(r.clone(), &cells[i], wall, Some(true)));
+                emit(&mut record);
+                done[i] = Some((report, wall, record));
+            }
+        }
+
         GridResults {
-            runs,
+            runs: cells
+                .iter()
+                .zip(done)
+                .map(|(cell, outcome)| {
+                    let (report, wall, record) = outcome.expect("every cell resolved");
+                    RunResult::new(cell, report, wall, extra(record))
+                })
+                .collect(),
             threads,
             wall_seconds: grid_start.elapsed().as_secs_f64(),
-            telemetry: None,
-            cache_stats: cache.map(|_| CacheStats {
-                cache_hits: hits.load(Ordering::Relaxed),
-                cache_misses: misses.load(Ordering::Relaxed),
-                cache_inflight_waits: inflight_waits.load(Ordering::Relaxed),
-            }),
+            cache_stats: cache.map(|_| stats),
         }
+    }
+}
+
+/// How one cell of a cached grid resolves, before any cell simulates.
+enum Resolution {
+    /// Served by the cache; `wall` is the claim's host time.
+    Hit { artifact: Arc<CellArtifact>, wall: f64 },
+    /// Replays the identical cell at this index, simulated in this grid.
+    Follower(usize),
+    /// Simulates (and publishes its artifact when a cache is in play).
+    Miss,
+}
+
+/// A finished cell before it takes its [`RunResult`] shape: the report,
+/// the host wall seconds, and the record of a streamed run.
+type Outcome = (RunReport, f64, Option<CellRecord>);
+
+/// Resolves every cell of a grid against `cache`: a hit, a follower of an
+/// identical cell already claimed in this grid (it replays after its
+/// leader runs, so no worker ever waits on another), or a claimed miss.
+/// A streamed hit whose artifact carries no record is a malformed entry
+/// for that domain (e.g. a hand-edited disk file): it resolves as a miss
+/// and its publish overwrites the entry.
+///
+/// Claims are taken in fingerprint order and held until their cell
+/// publishes. A claim blocks only while another grid sharing the cache
+/// holds the same fingerprint; a grid blocked at fingerprint `f` holds
+/// only fingerprints below `f`, so the grids waiting on each other form
+/// a chain of rising fingerprints, never a cycle, and the grid at its
+/// end simulates and publishes.
+fn resolve<'c>(
+    fps: &[Fingerprint],
+    cache: &'c ResultCache,
+    streamed: bool,
+    stats: &mut CacheStats,
+) -> (Vec<Resolution>, Vec<ClaimGuard<'c>>) {
+    let mut plan: Vec<Resolution> = fps.iter().map(|_| Resolution::Miss).collect();
+    let mut guards = Vec::new();
+    // Sorted (stably) by fingerprint, twins sit next to each other with
+    // the lowest cell index first: that one leads.
+    let mut order: Vec<usize> = (0..fps.len()).collect();
+    order.sort_by_key(|&i| fps[i].0);
+    let mut leader: Option<usize> = None;
+    for i in order {
+        if let Some(l) = leader.filter(|&l| fps[l] == fps[i]) {
+            plan[i] = Resolution::Follower(l);
+            stats.cache_hits += 1;
+            stats.cache_inflight_waits += 1;
+            continue;
+        }
+        let start = Instant::now();
+        match cache.claim(fps[i]) {
+            Claim::Hit { artifact, waited } if !streamed || artifact.record.is_some() => {
+                stats.cache_hits += 1;
+                if waited {
+                    stats.cache_inflight_waits += 1;
+                }
+                let wall = start.elapsed().as_secs_f64().max(1e-9);
+                plan[i] = Resolution::Hit { artifact, wall };
+            }
+            claim => {
+                if let Claim::Miss(guard) = claim {
+                    guards.push(guard);
+                }
+                stats.cache_misses += 1;
+                leader = Some(i);
+            }
+        }
+    }
+    (plan, guards)
+}
+
+/// The payload of a streamed result: the cell's emitted record.
+fn streamed_record(record: Option<CellRecord>) -> CellRecord {
+    record.expect("a streamed cell carries its record")
+}
+
+/// A simulated cell's deterministic record fields. Emergency/stress and
+/// the hottest block are chip-wide when a chip ran; core 0's report
+/// supplies the throughput numbers.
+fn fresh_record(
+    report: &RunReport,
+    chip: Option<&crate::multicore::ChipReport>,
+    metrics: Option<RegistrySnapshot>,
+) -> CellRecord {
+    let (emergency_cycles, stress_cycles, hottest_block, hottest_temp_c) = match chip {
+        Some(chip) => {
+            let (core, block, temp) = chip.hottest();
+            (
+                chip.emergency_cycles(),
+                chip.cores.iter().map(|r| r.stress_cycles).sum(),
+                chip.cores[core].blocks[block].name.clone(),
+                temp,
+            )
+        }
+        None => match report.hottest_block() {
+            Some(b) => (report.emergency_cycles, report.stress_cycles, b.name.clone(), b.max_temp),
+            None => (report.emergency_cycles, report.stress_cycles, String::new(), f64::NAN),
+        },
+    };
+    CellRecord {
+        thermal_steps: report.total_cycles,
+        committed: report.committed,
+        dtm_samples: report.samples,
+        ipc: report.ipc,
+        emergency_cycles,
+        stress_cycles,
+        hottest_block,
+        hottest_temp_c,
+        metrics: metrics
+            .map(|s| s.counters.iter().map(|&(n, v)| (n.to_string(), v)).collect())
+            .unwrap_or_default(),
+        ..CellRecord::default()
+    }
+}
+
+/// `record` under `cell`'s identity, wall time and cache provenance;
+/// `seq` and `elapsed_seconds` are stamped at emit. A hit or a follower
+/// replays a stored record this way: the key is content, so everything
+/// except identity and host-side stamps is the stored bytes.
+fn with_identity(
+    record: CellRecord,
+    cell: &GridCell,
+    wall: f64,
+    cached: Option<bool>,
+) -> CellRecord {
+    CellRecord {
+        index: cell.index,
+        label: cell.label(),
+        bench: cell.workload.name.to_string(),
+        policy: cell.policy.to_string(),
+        variant: cell.variant.to_string(),
+        wall_seconds: wall,
+        cached,
+        ..record
     }
 }
 
@@ -939,6 +879,48 @@ mod tests {
         }
         assert!(results.total_thermal_steps() > 0);
         assert!(results.aggregate_cycles_per_second() > 0.0);
+    }
+
+    #[test]
+    fn resolve_leads_twins_with_their_lowest_index() {
+        let cache = ResultCache::in_memory();
+        let mut stats = CacheStats::default();
+        let fps = [Fingerprint(5), Fingerprint(4), Fingerprint(5)];
+        let (plan, guards) = resolve(&fps, &cache, false, &mut stats);
+        assert!(matches!(plan[..], [Resolution::Miss, Resolution::Miss, Resolution::Follower(0)]));
+        assert_eq!(guards.len(), 2);
+        assert_eq!((stats.cache_misses, stats.cache_hits, stats.cache_inflight_waits), (2, 1, 1));
+    }
+
+    #[test]
+    fn resolve_claims_in_fingerprint_order() {
+        // Another grid holds fingerprint 2, so resolving [3, 1, 2] stalls
+        // there. Claiming in fingerprint order, it holds only 1 while it
+        // waits: 3 stays free, and a third grid can claim it without
+        // waiting on a grid that waits on it.
+        let cache: &'static ResultCache = Box::leak(Box::new(ResultCache::in_memory()));
+        let claim = |fps: &[Fingerprint]| resolve(fps, cache, false, &mut CacheStats::default()).1;
+        let held = claim(&[Fingerprint(2)]);
+        let resolver = std::thread::spawn(move || {
+            let mut stats = CacheStats::default();
+            let fps = [Fingerprint(3), Fingerprint(1), Fingerprint(2)];
+            drop(resolve(&fps, cache, false, &mut stats));
+            stats
+        });
+        // The resolve step counts its wait before it blocks on 2.
+        while cache.stats().cache_inflight_waits == 0 {
+            std::thread::yield_now();
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let probe = std::thread::spawn(move || {
+            tx.send(claim(&[Fingerprint(3)]).len()).expect("the test waits for the probe");
+        });
+        let claimed = rx.recv_timeout(std::time::Duration::from_secs(5));
+        assert_eq!(claimed, Ok(1), "the stalled resolve step holds a larger fingerprint");
+        probe.join().expect("probe");
+        drop(held); // released unpublished: the resolve step claims 2 itself
+        let stats = resolver.join().expect("resolve finishes");
+        assert_eq!((stats.cache_misses, stats.cache_hits), (3, 0));
     }
 
     #[test]

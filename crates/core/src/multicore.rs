@@ -424,20 +424,35 @@ impl MulticoreSim {
 /// Runs `cfg` either on the single-core [`Simulator`] (when
 /// `cfg.chip.cores == 1` and no supervisor is attached) or on the
 /// multicore chip, returning core 0's report plus the chip report when a
-/// chip actually ran. Experiment drivers use this to make any grid cell
-/// chip-aware without forking their plumbing.
+/// chip actually ran. With `telemetry` set, the run collects it and also
+/// returns the metric snapshot (merged over the cores on a chip) when
+/// the config collects metrics. This is the one place a grid cell picks
+/// its simulator: the engine's cell path and [`GridCell::run_chip`]
+/// both run through it.
+///
+/// [`GridCell::run_chip`]: crate::engine::GridCell::run_chip
 pub fn run_chip_cell(
     cfg: SimConfig,
     workload: &Workload,
     power: Arc<PowerModel>,
-) -> (RunReport, Option<ChipReport>) {
+    telemetry: Option<&TelemetryConfig>,
+) -> (RunReport, Option<ChipReport>, Option<RegistrySnapshot>) {
     if cfg.chip.cores == 1 && cfg.chip.supervisor.is_none() {
         let mut sim = Simulator::for_workload_with_power(cfg, workload, power);
-        (sim.run(), None)
+        if let Some(telemetry) = telemetry {
+            sim.enable_telemetry(telemetry);
+        }
+        let report = sim.run();
+        let metrics = sim.take_telemetry().and_then(|t| t.metrics).map(|m| m.snapshot());
+        (report, None, metrics)
     } else {
         let mut sim = MulticoreSim::for_workload_with_power(cfg, workload, power);
+        if let Some(telemetry) = telemetry {
+            sim.enable_telemetry(telemetry);
+        }
         let chip = sim.run();
-        (chip.cores[0].clone(), Some(chip))
+        let metrics = sim.take_telemetry().and_then(|t| t.merged_metrics());
+        (chip.cores[0].clone(), Some(chip), metrics)
     }
 }
 
@@ -540,17 +555,25 @@ mod tests {
     fn run_chip_cell_dispatches_by_core_count() {
         let cfg = quick(PolicyKind::Pid, 1);
         let power = Arc::new(PowerModel::new(&cfg.power, &cfg.core));
-        let (_, chip) = run_chip_cell(cfg.clone(), &workload(), power.clone());
+        let observed = TelemetryConfig::metrics_and_phases();
+        let (plain, chip, metrics) = run_chip_cell(cfg.clone(), &workload(), power.clone(), None);
         assert!(
             chip.is_none(),
             "one supervisor-less core takes the single-core path"
         );
+        assert!(metrics.is_none(), "no telemetry, no snapshot");
+        let (report, _, metrics) =
+            run_chip_cell(cfg.clone(), &workload(), power.clone(), Some(&observed));
+        assert_eq!(report, plain, "telemetry never perturbs the run");
+        assert_eq!(metrics.expect("metrics collected").counter("cycles"), report.total_cycles);
         let mut cfg2 = cfg;
         cfg2.chip.cores = 2;
         cfg2.max_insts = 10_000;
         cfg2.thermal_warmup_cycles = 500;
-        let (r0, chip) = run_chip_cell(cfg2, &workload(), power);
+        let (r0, chip, metrics) = run_chip_cell(cfg2, &workload(), power, Some(&observed));
         let chip = chip.expect("two cores take the chip path");
         assert_eq!(chip.cores[0], r0);
+        let cycles: u64 = chip.cores.iter().map(|r| r.total_cycles).sum();
+        assert_eq!(metrics.expect("merged metrics").counter("cycles"), cycles);
     }
 }

@@ -150,45 +150,6 @@ pub fn grid_summary<R>(results: &crate::engine::GridResults<R>) -> String {
         results.total_thermal_steps(),
         results.aggregate_cycles_per_second() / 1e6,
     ));
-    if let Some(telemetry) = &results.telemetry {
-        out.push('\n');
-        out.push_str(&grid_telemetry_summary(telemetry));
-    }
-    out
-}
-
-/// Renders the merged grid telemetry: the deterministic simulation
-/// counters, the temperature/duty histograms' tails, and the host-time
-/// phase profile.
-pub fn grid_telemetry_summary(telemetry: &crate::engine::GridTelemetry) -> String {
-    let mut out = String::from("telemetry (merged over cells)\n");
-    for &(name, value) in &telemetry.sim.counters {
-        out.push_str(&format!("  {name:<18} {value}\n"));
-    }
-    for (name, hist) in &telemetry.sim.histograms {
-        let p50 = hist.quantile(0.5);
-        let p99 = hist.quantile(0.99);
-        out.push_str(&format!(
-            "  {name:<18} n={} p50={} p99={} over={}\n",
-            hist.count(),
-            p50.map_or_else(|| "-".into(), |v| format!("{v:.2}")),
-            p99.map_or_else(|| "-".into(), |v| format!("{v:.2}")),
-            hist.overflow,
-        ));
-    }
-    let wall = &telemetry.cell_wall_ms;
-    out.push_str(&format!(
-        "  cell wall-time     n={} p50={} ms p99={} ms\n",
-        wall.count(),
-        wall.quantile(0.5)
-            .map_or_else(|| "-".into(), |v| format!("{v:.0}")),
-        wall.quantile(0.99)
-            .map_or_else(|| "-".into(), |v| format!("{v:.0}")),
-    ));
-    if telemetry.phases.total_nanos() > 0 {
-        out.push_str("host-time phase profile (not deterministic)\n");
-        out.push_str(&telemetry.phases.render_table());
-    }
     out
 }
 

@@ -273,7 +273,12 @@ pub mod json {
     pub enum Value {
         Null,
         Bool(bool),
+        /// A number literal with a sign, fraction or exponent, or an
+        /// integer past `u64::MAX`.
         Num(f64),
+        /// An unsigned integer literal that fits a `u64`, kept exact
+        /// (an `f64` would round counters above 2^53).
+        Int(u64),
         Str(String),
         Arr(Vec<Value>),
         Obj(Vec<(String, Value)>),
@@ -317,19 +322,18 @@ pub mod json {
         pub fn as_f64(&self) -> Option<f64> {
             match self {
                 Value::Num(n) => Some(*n),
+                Value::Int(n) => Some(*n as f64),
                 // to_json writes non-finite floats as null.
                 Value::Null => Some(f64::NAN),
                 _ => None,
             }
         }
 
-        /// A non-negative integer that fits a `u64` exactly.
+        /// An unsigned integer literal (no sign, fraction or exponent)
+        /// that fits a `u64`, exactly.
         pub fn as_u64(&self) -> Option<u64> {
             match self {
-                // `u64::MAX as f64` rounds up to 2^64, which does not fit.
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
-                    Some(*n as u64)
-                }
+                Value::Int(n) => Some(*n),
                 _ => None,
             }
         }
@@ -508,9 +512,11 @@ pub mod json {
         {
             *pos += 1;
         }
-        std::str::from_utf8(&b[start..*pos])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
+        let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::Int(n));
+        }
+        text.parse::<f64>()
             .map(Value::Num)
             .map_err(|e| format!("bad number at byte {start}: {e}"))
     }
@@ -676,6 +682,12 @@ mod tests {
     fn as_u64_rejects_two_to_the_64() {
         assert_eq!(json::parse("18446744073709551616").unwrap().as_u64(), None);
         assert_eq!(json::parse("9007199254740992").unwrap().as_u64(), Some(1 << 53));
+        assert_eq!(json::parse("9007199254740993").unwrap().as_u64(), Some((1 << 53) + 1));
+        assert_eq!(json::parse("18446744073709551615").unwrap().as_u64(), Some(u64::MAX));
+        for not_a_count in ["-1", "1.0", "1e3", "-0"] {
+            assert_eq!(json::parse(not_a_count).unwrap().as_u64(), None, "{not_a_count}");
+        }
+        assert_eq!(json::parse("9007199254740993").unwrap().as_f64(), Some(9007199254740992.0));
     }
 
     #[test]

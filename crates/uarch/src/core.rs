@@ -66,10 +66,6 @@ pub struct CoreStats {
     pub l2_misses: u64,
     /// Store-to-load forwards.
     pub forwards: u64,
-    /// Sum of per-cycle RUU occupancy (divide by `cycles` for the mean).
-    pub ruu_occupancy_sum: u64,
-    /// Sum of per-cycle LSQ occupancy.
-    pub lsq_occupancy_sum: u64,
 }
 
 impl CoreStats {
@@ -79,24 +75,6 @@ impl CoreStats {
             0.0
         } else {
             self.committed as f64 / self.cycles as f64
-        }
-    }
-
-    /// Mean instruction-window (RUU) occupancy.
-    pub fn avg_ruu_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.ruu_occupancy_sum as f64 / self.cycles as f64
-        }
-    }
-
-    /// Mean load/store-queue occupancy.
-    pub fn avg_lsq_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.lsq_occupancy_sum as f64 / self.cycles as f64
         }
     }
 }
@@ -419,8 +397,6 @@ impl Core {
             self.decode();
             self.fetch();
         }
-        self.stats.ruu_occupancy_sum += self.ruu.len() as u64;
-        self.stats.lsq_occupancy_sum += self.lsq.len() as u64;
         self.cycle += 1;
         self.stats.cycles += 1;
         &self.activity
@@ -523,8 +499,6 @@ impl Core {
                 self.stats.gated_cycles += 1;
             }
         }
-        self.stats.ruu_occupancy_sum += cycles * self.ruu.len() as u64;
-        self.stats.lsq_occupancy_sum += cycles * self.lsq.len() as u64;
         self.cycle += cycles;
         self.stats.cycles += cycles;
     }

@@ -4,6 +4,11 @@
 # root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# The engine and simulator read these at run time. An exported value in
+# the caller's shell (a TDTM_CACHE_DIR, TDTM_SKIP=0) would turn the
+# default-path tests below into disk replays or non-skipping runs; the
+# smokes that need one set it per command.
+unset TDTM_SKIP TDTM_CACHE TDTM_CACHE_DIR TDTM_THREADS TDTM_INSTS
 
 echo "== tier 1: release build =="
 cargo build --release --workspace

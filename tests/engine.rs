@@ -8,6 +8,7 @@ use tdtm::core::experiments::ExperimentScale;
 use tdtm::core::report::reports_to_csv;
 use tdtm::core::{ResultCache, SimConfig};
 use tdtm::dtm::{PolicyKind, SupervisorConfig};
+use tdtm::telemetry::{CellRecord, MemorySink, TelemetryConfig};
 use tdtm::workloads::by_name;
 
 /// One single-core cell family plus a supervised two-core chip variant,
@@ -174,6 +175,73 @@ fn identical_cells_within_a_grid_simulate_once() {
             format!("{:?}", leader.report),
             "twin cells must carry identical reports"
         );
+    }
+
+    // The streamed twin grid resolves the same way: one simulation per
+    // distinct fingerprint, and each twin's record is its leader's apart
+    // from the identity fields.
+    let mut sink = MemorySink::new();
+    let streamed = grid.run_streaming_cached(
+        4,
+        &TelemetryConfig::metrics_and_phases(),
+        &mut sink,
+        &ResultCache::in_memory(),
+    );
+    let stats = streamed.cache_stats.expect("cached run reports stats");
+    assert_eq!(stats.cache_misses, 2, "one streamed simulation per distinct fingerprint");
+    assert_eq!(stats.cache_hits, 2, "each streamed twin replays its leader");
+    assert_eq!(sink.records.len(), 4);
+    let with_identity_of = |record: &CellRecord, other: &CellRecord| CellRecord {
+        index: other.index,
+        label: other.label.clone(),
+        variant: other.variant.clone(),
+        ..record.clone()
+    };
+    for run in &streamed.runs {
+        let leader = streamed
+            .runs
+            .iter()
+            .find(|r| r.report.policy == run.report.policy && r.index != run.index)
+            .expect("every cell has a twin");
+        assert_eq!(format!("{:?}", run.report), format!("{:?}", leader.report));
+        assert!(
+            with_identity_of(&leader.extra, &run.extra).deterministic_eq(&run.extra),
+            "twin record diverges from its leader's:\n{:?}\n{:?}",
+            run.extra,
+            leader.extra
+        );
+    }
+}
+
+#[test]
+fn streamed_grid_reports_match_the_uncached_reference() {
+    // The streaming entry point resolves and simulates cells through the
+    // same chip-aware path as the plain one: single-core and two-core
+    // cells alike come back byte-identical to the uncached reference.
+    let grid = small_grid();
+    let reference = grid.run_threads_uncached(1);
+    let mut sink = MemorySink::new();
+    let streamed = grid.run_streaming_cached(
+        2,
+        &TelemetryConfig::metrics_and_phases(),
+        &mut sink,
+        &ResultCache::in_memory(),
+    );
+    assert_eq!(sink.records.len(), reference.runs.len());
+    assert_eq!(
+        reports_to_csv(&reference.reports()),
+        reports_to_csv(&streamed.reports()),
+        "streamed reports diverge from the uncached reference"
+    );
+    for (r, s) in reference.runs.iter().zip(&streamed.runs) {
+        assert_eq!(r.index, s.index);
+        assert_eq!(
+            format!("{:?}", r.report),
+            format!("{:?}", s.report),
+            "cell {}: streamed report diverged from the uncached reference",
+            r.label()
+        );
+        assert!(r.obs.deterministic_eq(&s.obs), "cell {}: observation diverged", r.label());
     }
 }
 

@@ -59,9 +59,9 @@ fn mutate(rng: &mut Rng, text: &str) -> String {
 }
 
 fn random_record(rng: &mut Rng) -> CellRecord {
-    // Counters stay within f64's exact-integer range (the wire format
-    // carries every number as a JSON number).
-    let mut count = || rng.below(1 << 53);
+    // Counters span the whole u64 range: integer literals parse exactly,
+    // past f64's 2^53 exact-integer limit.
+    let mut count = || rng.next_u64();
     CellRecord {
         seq: count(),
         index: count() as usize,
@@ -80,7 +80,7 @@ fn random_record(rng: &mut Rng) -> CellRecord {
         hottest_block: random_text(rng, 8),
         hottest_temp_c: f64::from_bits(rng.next_u64()),
         metrics: (0..rng.below(4))
-            .map(|_| (random_text(rng, 6), rng.below(1 << 53)))
+            .map(|_| (random_text(rng, 6), rng.next_u64()))
             .collect(),
         cached: *rng.choose(&[None, Some(false), Some(true)]),
     }
@@ -131,6 +131,36 @@ fn valid_records_round_trip_and_survive_mutation() {
             feed(&mutate(rng, &line));
         }
     });
+}
+
+#[test]
+fn counters_past_two_to_the_53_round_trip_exactly() {
+    // 2^53 + 1 is the first integer an f64 cannot hold: read through a
+    // float it would come back as 2^53, silently.
+    let big = (1u64 << 53) + 1;
+    let record = CellRecord {
+        committed: big,
+        thermal_steps: u64::MAX,
+        metrics: vec![("cycles".to_string(), big)],
+        ..CellRecord::default()
+    };
+    let line = record.to_json();
+    assert!(line.contains("\"committed\":9007199254740993"), "{line}");
+    let parsed = CellRecord::from_json(&line).expect("a serialized record parses");
+    assert_eq!(parsed, record);
+
+    let mut cfg = SimConfig::quick_test();
+    cfg.max_insts = 2_000;
+    cfg.thermal_warmup_cycles = 100;
+    let mut report = Simulator::for_workload(cfg, &by_name("gcc").expect("suite workload")).run();
+    report.committed = big;
+    let artifact = CellArtifact { report, record: Some(record) };
+    let parsed = CellArtifact::from_json(&artifact.to_json()).expect("a serialized entry parses");
+    assert_eq!(parsed, artifact);
+
+    // One past u64::MAX is an error, not a rounded count.
+    let past = line.replace("18446744073709551615", "18446744073709551616");
+    assert!(CellRecord::from_json(&past).is_err());
 }
 
 #[test]
