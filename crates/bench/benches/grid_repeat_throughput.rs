@@ -14,7 +14,7 @@
 //! - `grid18x5_repeat_warm_mem_ns_per_cell`: the same grid re-run
 //!   against the now-populated in-memory tier — every cell replays.
 //! - `grid18x5_repeat_warm_disk_ns_per_cell`: a fresh cache per
-//!   repetition over a populated `TDTM_CACHE_DIR`-style directory —
+//!   repetition over a populated cache directory —
 //!   models a new process warming from disk (parse + promote, no
 //!   simulation).
 //!
@@ -43,7 +43,7 @@ use tdtm_dtm::PolicyKind;
 const CHECK_TOLERANCE: f64 = 3.0;
 
 /// Worker threads for the grid runs — fixed so the row is comparable
-/// across environments regardless of `TDTM_THREADS` or machine shape.
+/// across machine shapes.
 const THREADS: usize = 4;
 
 /// The headline acceptance claim this bench gates: warm in-memory
@@ -79,7 +79,7 @@ fn report_row(h: &mut Harness, name: &str, best_seconds: f64, cells: usize) -> f
 /// One cold pass into `cache`, timed. Asserts the pass actually
 /// simulated (all misses) so a leaked warm cache can't fake the row.
 fn cold_pass(grid: &ExperimentGrid, cache: &ResultCache) -> f64 {
-    let results = grid.run_threads_cached(THREADS, cache);
+    let results = grid.run_threads_cached(THREADS, Some(cache));
     let stats = results.cache_stats.expect("cached run reports stats");
     assert_eq!(stats.cache_hits, 0, "cold pass must not hit");
     black_box(&results.runs);
@@ -88,7 +88,7 @@ fn cold_pass(grid: &ExperimentGrid, cache: &ResultCache) -> f64 {
 
 /// One warm pass against `cache`, timed. Asserts every cell replayed.
 fn warm_pass(grid: &ExperimentGrid, cache: &ResultCache) -> f64 {
-    let results = grid.run_threads_cached(THREADS, cache);
+    let results = grid.run_threads_cached(THREADS, Some(cache));
     let stats = results.cache_stats.expect("cached run reports stats");
     assert_eq!(stats.cache_misses, 0, "warm pass must not simulate");
     black_box(&results.runs);

@@ -6,7 +6,7 @@
 //! One row, normalized to ns per grid cell (grid wall time over cell
 //! count, so lower is better and the checker's ratio convention holds):
 //!
-//! - `grid18x5_ref_ns_per_cell`: `ExperimentGrid::run_threads_uncached`
+//! - `grid18x5_ref_ns_per_cell`: `ExperimentGrid::run_threads_cached(_, None)`
 //!   (one `GridCell::run_chip` per cell, no result cache).
 //!
 //! The committed baseline also carries a `*_before` row — the per-cell
@@ -33,7 +33,7 @@ use tdtm_dtm::PolicyKind;
 const CHECK_TOLERANCE: f64 = 3.0;
 
 /// Worker threads for the grid runs — fixed so the row is comparable
-/// across environments regardless of `TDTM_THREADS` or machine shape.
+/// across machine shapes.
 const THREADS: usize = 4;
 
 /// The paper's result grid at quick scale, on a hot heatsink so every
@@ -59,7 +59,7 @@ fn bench_grid(h: &mut Harness, name: &str, reps: u32) {
     let cells = grid.len() as f64;
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let results = grid.run_threads_uncached(THREADS);
+        let results = grid.run_threads_cached(THREADS, None);
         assert_eq!(results.runs.len(), grid.len());
         black_box(&results.runs);
         best = best.min(results.wall_seconds);

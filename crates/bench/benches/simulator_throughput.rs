@@ -55,8 +55,8 @@ fn cell_config(policy: PolicyKind, heatsink: f64) -> SimConfig {
 
 /// Times whole uninstrumented runs of one cell, normalized per simulated
 /// cycle (construction excluded — this measures the cycle loop).
-/// `skip` pins idle-gap skipping on or off; `None` keeps the `TDTM_SKIP`
-/// default (on), which is what the plain rows bench.
+/// `skip` pins idle-gap skipping on or off; `None` keeps the default
+/// (on), which is what the plain rows bench.
 fn bench_run(
     h: &mut Harness,
     name: &str,

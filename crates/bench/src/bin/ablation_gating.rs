@@ -2,8 +2,7 @@
 //! change the power/thermal picture. The paper (like Wattch's realistic
 //! configuration) assumes cc3: idle structures still burn ~10% of peak.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::ExperimentScale;
+use tdtm_bench::{banner, from_env};
 use tdtm_core::report::TextTable;
 use tdtm_core::Simulator;
 use tdtm_dtm::PolicyKind;
@@ -11,7 +10,7 @@ use tdtm_power::ClockGating;
 use tdtm_workloads::by_name;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = from_env().scale;
     banner("Ablation: conditional clocking style (no DTM)", scale);
 
     let mut t = TextTable::new([

@@ -5,7 +5,7 @@
 //! before temperature error matters — the cost knob for faster
 //! simulation.
 
-use tdtm_core::engine::{shard_map, thread_count};
+use tdtm_core::engine::shard_map;
 use tdtm_core::report::TextTable;
 use tdtm_thermal::block_model::{table3_blocks, BlockModel};
 
@@ -53,7 +53,7 @@ fn main() {
     // across the engine's workers. shard_map returns rows in batch order
     // regardless of thread count.
     let batches = [1u64, 4, 16, 64, 256, 1024, 4096, 16_384];
-    let threads = thread_count();
+    let threads = tdtm_bench::from_env().threads;
     let rows = shard_map(&batches, threads, |_, &batch| {
         let start = std::time::Instant::now();
         let mut reference = BlockModel::new(table3_blocks(), 103.0, dt);

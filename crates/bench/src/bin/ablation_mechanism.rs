@@ -2,15 +2,15 @@
 //! signaling (the paper's assumption) versus OS interrupts with a
 //! ~250-cycle delay per event, across a range of interrupt costs.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{characterize, ExperimentScale};
+use tdtm_bench::{banner, from_env};
+use tdtm_core::experiments::characterize;
 use tdtm_core::report::TextTable;
 use tdtm_core::Simulator;
 use tdtm_dtm::{PolicyKind, TriggerMechanism};
 use tdtm_workloads::by_name;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = from_env().scale;
     banner("Ablation: trigger mechanism (direct signaling vs interrupts)", scale);
 
     let mut t = TextTable::new([

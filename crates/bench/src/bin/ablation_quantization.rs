@@ -3,15 +3,15 @@
 //! This sweep varies the quantization from bang-bang (1 level) to
 //! near-continuous (64 levels) and measures what the granularity buys.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{characterize, ExperimentScale};
+use tdtm_bench::{banner, from_env};
+use tdtm_core::experiments::characterize;
 use tdtm_core::report::TextTable;
 use tdtm_core::Simulator;
 use tdtm_dtm::PolicyKind;
 use tdtm_workloads::by_name;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = from_env().scale;
     banner("Ablation: fetch-toggling quantization levels (PID)", scale);
 
     let mut t = TextTable::new([

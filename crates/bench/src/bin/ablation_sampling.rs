@@ -6,15 +6,15 @@
 //! PID on the two hottest benchmarks across intervals from 250 to 32 K
 //! cycles.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{characterize, ExperimentScale};
+use tdtm_bench::{banner, from_env};
+use tdtm_core::experiments::characterize;
 use tdtm_core::report::TextTable;
 use tdtm_core::Simulator;
 use tdtm_dtm::PolicyKind;
 use tdtm_workloads::by_name;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = from_env().scale;
     banner("Ablation: DTM sampling interval (PID)", scale);
 
     let intervals = [250u64, 500, 1000, 2000, 4000, 8000, 16_000, 32_000];

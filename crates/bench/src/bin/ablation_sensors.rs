@@ -3,15 +3,15 @@
 //! model for temperature sensor behavior (as distinct from true physical
 //! temperature) is an important area for future work."
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{characterize, ExperimentScale};
+use tdtm_bench::{banner, from_env};
+use tdtm_core::experiments::characterize;
 use tdtm_core::report::TextTable;
 use tdtm_core::Simulator;
 use tdtm_dtm::{PolicyKind, SensorModel};
 use tdtm_workloads::by_name;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = from_env().scale;
     banner("Ablation: temperature-sensor fidelity (PID on apsi)", scale);
 
     let w = by_name("apsi").expect("suite");

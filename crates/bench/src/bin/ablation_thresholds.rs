@@ -4,8 +4,7 @@
 //! benchmark-category structure (Table 5) depends on where the 111 C line
 //! sits — and demonstrates the ~1000x cheaper replay path.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::ExperimentScale;
+use tdtm_bench::{banner, from_env};
 use tdtm_core::replay::threshold_sweep;
 use tdtm_core::report::TextTable;
 use tdtm_core::Simulator;
@@ -13,7 +12,7 @@ use tdtm_dtm::PolicyKind;
 use tdtm_workloads::suite;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = from_env().scale;
     banner("Ablation: emergency-threshold sensitivity (open-loop replay)", scale);
 
     let thresholds = [109.0, 110.0, 111.0, 112.0, 113.0];

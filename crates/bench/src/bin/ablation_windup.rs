@@ -3,15 +3,15 @@
 //! long cool prefix before their hot region — the exact scenario where a
 //! wound-up integral keeps the actuator at full speed into an emergency.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{characterize, ExperimentScale};
+use tdtm_bench::{banner, from_env};
+use tdtm_core::experiments::characterize;
 use tdtm_core::report::TextTable;
 use tdtm_core::Simulator;
 use tdtm_dtm::PolicyKind;
 use tdtm_workloads::by_name;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = from_env().scale;
     banner("Ablation: anti-windup on/off (Section 3.3)", scale);
 
     let mut t = TextTable::new([

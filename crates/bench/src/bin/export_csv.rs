@@ -2,17 +2,18 @@
 //! `characterization.csv` (the Table 4-8 source data) and `dtm.csv` (the
 //! Section 7 policy comparison), for external plotting.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{characterize_suite, compare_policies_suite, ExperimentScale};
+use tdtm_bench::{banner, from_env};
+use tdtm_core::experiments::compare_policies_grid;
 use tdtm_core::report::reports_to_csv;
+use tdtm_core::ExperimentGrid;
 use tdtm_dtm::PolicyKind;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = ExperimentScale::from_env();
-    banner("CSV export", scale);
+    let env = from_env();
+    banner("CSV export", env.scale);
     std::fs::create_dir_all("results")?;
 
-    let characterization = characterize_suite(scale);
+    let characterization = env.run(&ExperimentGrid::new(env.scale).suite()).reports();
     std::fs::write("results/characterization.csv", reports_to_csv(&characterization))?;
     println!("wrote results/characterization.csv ({} rows)", characterization.len());
 
@@ -24,12 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PolicyKind::Pi,
         PolicyKind::Pid,
     ];
-    let rows = compare_policies_suite(scale, &policies);
-    let mut all = Vec::new();
-    for row in rows {
-        all.push(row.baseline);
-        all.extend(row.runs);
-    }
+    // Each benchmark's baseline, then its policies: the grid's cell order.
+    let all = env.run(&compare_policies_grid(env.scale, &policies)).reports();
     std::fs::write("results/dtm.csv", reports_to_csv(&all))?;
     println!("wrote results/dtm.csv ({} rows)", all.len());
     Ok(())

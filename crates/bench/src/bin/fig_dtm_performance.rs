@@ -4,14 +4,14 @@
 //! performance loss of DTM by roughly 65% relative to toggle1 while never
 //! entering thermal emergency.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{compare_policies_grid, group_policy_comparisons, ExperimentScale};
+use tdtm_bench::{banner, from_env};
+use tdtm_core::experiments::{compare_policies_grid, group_policy_comparisons};
 use tdtm_core::report::{grid_summary, TextTable};
 use tdtm_dtm::PolicyKind;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    banner("Section 7: DTM policy comparison", scale);
+    let env = from_env();
+    banner("Section 7: DTM policy comparison", env.scale);
 
     let policies = [
         PolicyKind::Toggle1,
@@ -23,7 +23,7 @@ fn main() {
     ];
     // The whole (18 benchmarks × 7 policies) grid shards across
     // TDTM_THREADS workers; the reports are thread-count independent.
-    let results = compare_policies_grid(scale, &policies).run();
+    let results = env.run(&compare_policies_grid(env.scale, &policies));
     let rows = group_policy_comparisons(&results);
 
     let mut header = vec!["benchmark".to_string(), "base emerg".to_string()];
@@ -76,6 +76,7 @@ fn main() {
         );
     }
 
-    println!("\n-- engine observability --\n");
-    println!("{}", grid_summary(&results));
+    // Host timings go to stderr: stdout depends on TDTM_INSTS alone.
+    eprintln!("\n-- engine observability --\n");
+    eprintln!("{}", grid_summary(&results));
 }

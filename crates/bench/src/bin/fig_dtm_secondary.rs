@@ -3,15 +3,16 @@
 //! Brooks & Martonosi found inferior to toggling — plus the hierarchical
 //! toggling+V/f combination the paper sketches.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{compare_policies, ExperimentScale};
+use tdtm_bench::{banner, from_env};
+use tdtm_core::experiments::group_policy_comparisons;
 use tdtm_core::report::TextTable;
+use tdtm_core::ExperimentGrid;
 use tdtm_dtm::PolicyKind;
-use tdtm_workloads::suite;
+use tdtm_workloads::{suite, ThermalCategory};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    banner("Section 2.1: secondary DTM mechanisms", scale);
+    let env = from_env();
+    banner("Section 2.1: secondary DTM mechanisms", env.scale);
 
     let policies = [
         PolicyKind::Toggle1,
@@ -31,16 +32,17 @@ fn main() {
     let mut sum_loss = vec![0.0f64; policies.len()];
     let mut fail = vec![0u32; policies.len()];
     let mut n = 0usize;
-    for w in suite() {
-        // The hot half of the suite is where mechanisms differ.
-        if !matches!(
-            w.category,
-            tdtm_workloads::ThermalCategory::Extreme | tdtm_workloads::ThermalCategory::High
-        ) {
-            continue;
-        }
-        let cmp = compare_policies(&w, scale, &policies);
-        let mut cells = vec![w.name.to_string()];
+    // The hot half of the suite is where mechanisms differ: one grid of
+    // those benchmarks, each under the non-DTM baseline and every policy.
+    let mut axis = vec![PolicyKind::None];
+    axis.extend(policies);
+    let grid = suite()
+        .into_iter()
+        .filter(|w| matches!(w.category, ThermalCategory::Extreme | ThermalCategory::High))
+        .fold(ExperimentGrid::new(env.scale), ExperimentGrid::workload)
+        .policies(&axis);
+    for cmp in group_policy_comparisons(&env.run(&grid)) {
+        let mut cells = vec![cmp.bench.clone()];
         for (i, run) in cmp.runs.iter().enumerate() {
             let pct = run.percent_of(&cmp.baseline);
             sum_loss[i] += 100.0 - pct;

@@ -2,15 +2,15 @@
 //! at the 110.8 C setpoint (0.2 K below emergency) versus the lower
 //! 110.0 C setpoint the paper also tests.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{characterize, ExperimentScale};
+use tdtm_bench::{banner, from_env};
+use tdtm_core::experiments::characterize;
 use tdtm_core::report::TextTable;
 use tdtm_core::Simulator;
 use tdtm_dtm::PolicyKind;
 use tdtm_workloads::suite;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = from_env().scale;
     banner("Section 7: setpoint sensitivity (PI/PID at 110.8 C vs 110.0 C)", scale);
 
     let mut t = TextTable::new([

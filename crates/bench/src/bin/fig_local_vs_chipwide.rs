@@ -4,29 +4,28 @@
 //! power series, then prints both trajectories and the emergency counts
 //! the chip-wide view misses.
 
-use tdtm_bench::banner;
+use tdtm_bench::{banner, from_env};
 use tdtm_core::engine::ExperimentGrid;
-use tdtm_core::experiments::ExperimentScale;
 use tdtm_core::report::{grid_summary, TextTable};
 use tdtm_thermal::chipwide::{ChipWideModel, ChipWideParams};
 use tdtm_workloads::by_name;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    banner("Section 6: localized vs chip-wide heating (art)", scale);
+    let env = from_env();
+    banner("Section 6: localized vs chip-wide heating (art)", env.scale);
 
     let w = by_name("art").expect("art in suite");
     // A single-cell grid: `art` without DTM, stretched to at least 1.5M
     // instructions so the burst structure shows, with trace recording
     // attached through the engine's custom-driver hook.
-    let grid = ExperimentGrid::new(scale)
+    let grid = ExperimentGrid::new(env.scale)
         .workload(w)
         .variant("long", |cfg| cfg.max_insts = cfg.max_insts.max(1_500_000));
     let cfg = grid.cells()[0].config();
     let emergency = cfg.dtm.emergency;
     let cycle_time = cfg.cycle_time();
     let stride = 25_000u64;
-    let results = grid.run_with(|cell| {
+    let results = grid.run_with_threads(env.threads, |cell| {
         let mut sim = cell.simulator();
         sim.record_trace(stride);
         let report = sim.run();
@@ -96,6 +95,7 @@ fn main() {
     );
     println!("at chip granularity (block tau ~84 us vs chip tau ~1 minute).");
 
-    println!("\n-- engine observability --\n");
-    println!("{}", grid_summary(&results));
+    // Host timings go to stderr: stdout depends on TDTM_INSTS alone.
+    eprintln!("\n-- engine observability --\n");
+    eprintln!("{}", grid_summary(&results));
 }

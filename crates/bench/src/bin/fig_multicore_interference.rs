@@ -8,20 +8,23 @@
 //! anything above it is heat conducted in through the tangential
 //! resistances, not generated by core 0 itself.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{interference_study, ExperimentScale};
+use tdtm_bench::{banner, from_env};
+use tdtm_core::experiments::interference_grid;
 use tdtm_core::report::{grid_summary, TextTable};
 use tdtm_dtm::PolicyKind;
 use tdtm_workloads::by_name;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    banner("Cross-core interference: hot neighbors vs the DTM-controlled core (gcc)", scale);
+    let env = from_env();
+    banner("Cross-core interference: hot neighbors vs the DTM-controlled core (gcc)", env.scale);
 
     let w = by_name("gcc").expect("gcc in suite");
     let policies =
         [PolicyKind::Pid, PolicyKind::AdaptiveI, PolicyKind::StabilityAware];
-    let results = interference_study(&w, scale, &policies);
+    // Each cell's report is core 0's (the DTM-controlled core); the extra
+    // payload is the full chip report, `None` for the single-core control.
+    let results = interference_grid(&w, env.scale, &policies)
+        .run_with_threads(env.threads, |cell| cell.run_chip());
 
     let mut t = TextTable::new([
         "cell",
@@ -85,6 +88,7 @@ fn main() {
     println!("positive dT = heat conducted in from neighbors; `2core-uncoupled` isolates");
     println!("the control (same chip, coupling disabled) and should sit near zero.");
 
-    println!("\n-- engine observability --\n");
-    println!("{}", grid_summary(&results));
+    // Host timings go to stderr: stdout depends on TDTM_INSTS alone.
+    eprintln!("\n-- engine observability --\n");
+    eprintln!("{}", grid_summary(&results));
 }

@@ -4,14 +4,13 @@
 //! hottest-block temperature across the run for one benchmark from each
 //! thermal category.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::ExperimentScale;
+use tdtm_bench::{banner, from_env};
 use tdtm_core::Simulator;
 use tdtm_dtm::PolicyKind;
 use tdtm_workloads::by_name;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = from_env().scale;
     banner("Section 4.2: temporal distribution of the hottest block (no DTM)", scale);
 
     let lo = 103.0f64;

@@ -4,8 +4,7 @@
 //! per block, and shows that PID DTM holds the chip stable well past the
 //! point where the uncontrolled chip diverges.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::ExperimentScale;
+use tdtm_bench::{banner, from_env};
 use tdtm_core::report::TextTable;
 use tdtm_core::Simulator;
 use tdtm_dtm::PolicyKind;
@@ -16,7 +15,7 @@ use tdtm_uarch::CoreConfig;
 use tdtm_workloads::by_name;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = from_env().scale;
     banner("Extension: temperature-dependent leakage and thermal runaway", scale);
 
     let power = PowerModel::new(&PowerConfig::default(), &CoreConfig::alpha21264_like());

@@ -15,11 +15,13 @@
 //! `--demo-grid PATH` first runs a small 2×2 grid (gcc, art × PID,
 //! stability-aware) with streaming enabled, writing the stream to PATH,
 //! then reports on it — a self-contained smoke of the whole
-//! collector → sink → reporter pipeline.
+//! collector → sink → reporter pipeline. The demo grid runs through the
+//! result cache `TDTM_CACHE` and `TDTM_CACHE_DIR` select (see
+//! `tdtm_bench::from_env`); its worker count is `--threads`.
 
 use tdtm_core::experiments::ExperimentScale;
 use tdtm_core::report::{obs_dashboard, obs_dashboard_csv};
-use tdtm_core::ExperimentGrid;
+use tdtm_core::{ExperimentGrid, ResultCache};
 use tdtm_dtm::PolicyKind;
 use tdtm_telemetry::{CellRecord, JsonlSink, TelemetryConfig};
 use tdtm_workloads::by_name;
@@ -104,7 +106,7 @@ fn load_stream(path: &str) -> Vec<CellRecord> {
     }
 }
 
-fn run_demo_grid(path: &str, hot: bool, threads: usize) {
+fn run_demo_grid(path: &str, hot: bool, threads: usize, cache: Option<&ResultCache>) {
     let mut grid = ExperimentGrid::new(ExperimentScale::quick())
         .policies(&[PolicyKind::Pid, PolicyKind::StabilityAware]);
     for name in ["gcc", "art"] {
@@ -128,7 +130,8 @@ fn run_demo_grid(path: &str, hot: bool, threads: usize) {
             std::process::exit(2);
         }
     };
-    let results = grid.run_streaming(threads, &TelemetryConfig::metrics_and_phases(), &mut sink);
+    let results =
+        grid.run_streaming_cached(threads, &TelemetryConfig::metrics_and_phases(), &mut sink, cache);
     eprintln!(
         "   {} cells in {:.2}s ({:.1} cells/s)",
         results.runs.len(),
@@ -150,7 +153,7 @@ fn main() {
     };
 
     if let Some(path) = &args.demo_grid {
-        run_demo_grid(path, args.demo_hot, args.threads);
+        run_demo_grid(path, args.demo_hot, args.threads, tdtm_bench::from_env().cache());
     }
     let primary = args
         .stream

@@ -3,13 +3,13 @@
 //! thermal emergency (above 111 C) and in thermal stress (above 110 C),
 //! with no thermal management.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{characterize_suite, ExperimentScale};
+use tdtm_bench::{banner, from_env};
+use tdtm_core::ExperimentGrid;
 use tdtm_core::report::{f, pct, TextTable};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    banner("Table 4: benchmark characteristics (no DTM)", scale);
+    let env = from_env();
+    banner("Table 4: benchmark characteristics (no DTM)", env.scale);
 
     let mut t = TextTable::new([
         "benchmark",
@@ -19,7 +19,7 @@ fn main() {
         "Above 111C",
         "Above 110C",
     ]);
-    for r in characterize_suite(scale) {
+    for r in env.run(&ExperimentGrid::new(env.scale).suite()).reports() {
         t.row([
             r.name.clone(),
             f(r.ipc, 2),

@@ -1,15 +1,16 @@
 //! Regenerates Table 5: the four categories of thermal behavior, from
 //! measured characterization runs.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{categorize, characterize_suite, ExperimentScale};
+use tdtm_bench::{banner, from_env};
+use tdtm_core::experiments::categorize;
+use tdtm_core::ExperimentGrid;
 use tdtm_workloads::{suite, ThermalCategory};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    banner("Table 5: categories of thermal behavior", scale);
+    let env = from_env();
+    banner("Table 5: categories of thermal behavior", env.scale);
 
-    let reports = characterize_suite(scale);
+    let reports = env.run(&ExperimentGrid::new(env.scale).suite()).reports();
     let declared: std::collections::HashMap<&str, ThermalCategory> =
         suite().iter().map(|w| (w.name, w.category)).collect();
 

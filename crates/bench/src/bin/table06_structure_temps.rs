@@ -2,15 +2,15 @@
 //! architectural structure for every benchmark, with no thermal
 //! management.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{characterize_suite, ExperimentScale};
+use tdtm_bench::{banner, from_env};
 use tdtm_core::report::TextTable;
+use tdtm_core::ExperimentGrid;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    banner("Table 6: per-structure avg/max temperature (C), no DTM", scale);
+    let env = from_env();
+    banner("Table 6: per-structure avg/max temperature (C), no DTM", env.scale);
 
-    let reports = characterize_suite(scale);
+    let reports = env.run(&ExperimentGrid::new(env.scale).suite()).reports();
     let block_names: Vec<String> = reports[0].blocks.iter().map(|b| b.name.clone()).collect();
     let mut header = vec!["benchmark".to_string()];
     header.extend(block_names);

@@ -2,10 +2,9 @@
 //! above the stress threshold (110 C, Table 7) and above the emergency
 //! threshold (111 C, Table 8), with no thermal management.
 
-use tdtm_bench::banner;
-use tdtm_core::experiments::{characterize_suite, ExperimentScale};
+use tdtm_bench::{banner, from_env};
 use tdtm_core::report::TextTable;
-use tdtm_core::RunReport;
+use tdtm_core::{ExperimentGrid, RunReport};
 
 fn print_table(title: &str, reports: &[RunReport], emergency: bool) {
     println!("-- {title} --\n");
@@ -25,9 +24,9 @@ fn print_table(title: &str, reports: &[RunReport], emergency: bool) {
 }
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    banner("Tables 7 and 8: per-structure thermal stress breakdown (no DTM)", scale);
-    let reports = characterize_suite(scale);
+    let env = from_env();
+    banner("Tables 7 and 8: per-structure thermal stress breakdown (no DTM)", env.scale);
+    let reports = env.run(&ExperimentGrid::new(env.scale).suite()).reports();
     print_table("Table 7: % of cycles above 110 C (thermal stress)", &reports, false);
     print_table("Table 8: % of cycles above 111 C (thermal emergency)", &reports, true);
 }

@@ -14,13 +14,15 @@
 //! ring, and the dump interleaves chip events ahead of the per-core
 //! rings.
 //!
+//! `TDTM_SKIP=0` turns idle-gap skipping off; the report and metrics are
+//! the same either way, only the skipped-window log goes empty.
+//!
 //! ```text
 //! cargo run -p tdtm-bench --release --bin trace_run -- gcc pid
 //! cargo run -p tdtm-bench --release --bin trace_run -- art hierarchical --stride 100 --csv
 //! cargo run -p tdtm-bench --release --bin trace_run -- gcc pid --cores 4 --supervisor
 //! ```
 
-use tdtm_core::experiments::ExperimentScale;
 use tdtm_core::{MulticoreSim, Simulator};
 use tdtm_dtm::{PolicyKind, SupervisorConfig};
 use tdtm_telemetry::{EventTrace, RegistrySnapshot, TelemetryConfig};
@@ -37,7 +39,9 @@ struct Args {
     supervisor: bool,
 }
 
-const USAGE: &str = "usage: trace_run <workload> <policy> [--stride N] [--capacity N] [--csv] [--insts N]
+fn usage() -> String {
+    format!(
+        "usage: trace_run <workload> <policy> [--stride N] [--capacity N] [--csv] [--insts N]
                  [--cores N] [--supervisor]
 
   <workload>   a suite benchmark name (see below)
@@ -46,11 +50,14 @@ const USAGE: &str = "usage: trace_run <workload> <policy> [--stride N] [--capaci
                every N-th DTM sample only (default 1: every sample)
   --capacity N event ring capacity; oldest events drop past it (default 65536)
   --csv        dump events as CSV instead of JSONL
-  --insts N    committed-instruction budget (default: TDTM_INSTS or 1000000)
+  --insts N    committed-instruction budget (default: {} or 1000000)
   --cores N    run on the N-core lockstep chip instead of the single-core
                simulator (default 1: single-core path)
   --supervisor attach the default chip-level supervisor (implies the chip
-               path even at --cores 1)";
+               path even at --cores 1)",
+        tdtm_bench::INSTS_VAR
+    )
+}
 
 fn parse_args() -> Result<Args, String> {
     let mut positional = Vec::new();
@@ -109,7 +116,7 @@ fn main() {
             if !msg.is_empty() {
                 eprintln!("error: {msg}\n");
             }
-            eprintln!("{USAGE}\n");
+            eprintln!("{}\n", usage());
             eprintln!(
                 "workloads: {}",
                 suite().iter().map(|w| w.name).collect::<Vec<_>>().join(" ")
@@ -130,7 +137,8 @@ fn main() {
         std::process::exit(2);
     };
 
-    let mut scale = ExperimentScale::from_env();
+    let env = tdtm_bench::from_env();
+    let mut scale = env.scale;
     if let Some(n) = args.insts {
         scale.insts = n;
     }
@@ -161,6 +169,7 @@ fn main() {
 
     if chip_path {
         let mut sim = MulticoreSim::for_workload(cfg, &workload);
+        sim.set_skip(env.skip);
         sim.enable_telemetry(&tcfg);
         sim.record_skip_windows();
         let report = sim.run();
@@ -212,6 +221,7 @@ fn main() {
         dump_skip_windows(sim.skip_windows(), report.chip_cycles);
     } else {
         let mut sim = Simulator::for_workload(cfg, &workload);
+        sim.set_skip(env.skip);
         sim.enable_telemetry(&tcfg);
         sim.record_skip_windows();
         let report = sim.run();

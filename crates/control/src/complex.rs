@@ -41,11 +41,6 @@ impl Complex {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Complex {
-        Complex { re: self.re, im: -self.im }
-    }
-
     /// `e^z`.
     pub fn exp(self) -> Complex {
         let r = self.re.exp();

@@ -129,14 +129,6 @@ pub struct Margins {
     pub phase_crossover: Option<f64>,
 }
 
-impl Margins {
-    /// A conventional "comfortably stable" check: gain margin above 2x and
-    /// phase margin above 30°.
-    pub fn is_comfortable(&self) -> bool {
-        self.gain_margin > 2.0 && self.phase_margin > 30f64.to_radians()
-    }
-}
-
 /// Computes gain/phase margins by sweeping `ω` logarithmically over
 /// `[w_min, w_max]` and bisecting each crossover.
 ///

@@ -1,9 +1,8 @@
 //! Content-addressed result cache: cross-run memoization for grid cells.
 //!
-//! ROADMAP item 4 (experiment service mode) needs repeat and overlapping
-//! capacity-planning queries to be near-free. The cacheable artifacts
-//! are exact — [`RunReport`]s are byte-identical across thread counts
-//! and idle-gap skipping — so memoization can be *exact*, not
+//! Repeat and overlapping grids should be near-free. The cacheable
+//! artifacts are exact — [`RunReport`]s are byte-identical across thread
+//! counts and idle-gap skipping — so memoization can be *exact*, not
 //! approximate: a cache hit replays the identical bytes a fresh
 //! simulation would produce.
 //!
@@ -25,10 +24,11 @@
 //!
 //! The in-memory tier is a mutex-guarded map shared across the worker
 //! pool under [`shard_map`](crate::engine::shard_map). The optional disk
-//! tier (`TDTM_CACHE_DIR`) holds one JSON file per fingerprint so caches
-//! survive across processes; corrupt, truncated, or schema-drifted files
-//! are treated as misses (recompute and overwrite), never a panic, and
-//! an unusable directory degrades to memory-only with a single warning.
+//! tier ([`ResultCache::with_disk`]) holds one JSON file per fingerprint
+//! so caches survive across processes; corrupt, truncated, or
+//! schema-drifted files are treated as misses (recompute and overwrite),
+//! never a panic, and an unusable directory degrades to memory-only with
+//! a single warning.
 //!
 //! ## In-flight dedup
 //!
@@ -45,8 +45,12 @@
 //! identical cells within one grid simulate once, workers never block,
 //! and two grids sharing a cache cannot wait on each other in a cycle.
 //!
-//! Set `TDTM_CACHE=0` to opt out entirely (mirroring `TDTM_SKIP`); the
-//! engine then simulates every cell and stores nothing.
+//! The library reads no environment. [`ResultCache::global`] is the
+//! in-memory cache of the engine's default entry points; a run with no
+//! cache or with a disk tier passes that choice explicitly
+//! (`run_threads_cached(threads, None)` simulates every cell and stores
+//! nothing). The `tdtm-bench` binaries map `TDTM_CACHE` and
+//! `TDTM_CACHE_DIR` onto that argument.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -472,33 +476,14 @@ impl ResultCache {
         }
     }
 
-    /// Whether `TDTM_CACHE` leaves the cache enabled (on unless `0` or
-    /// `off`, mirroring `TDTM_SKIP`).
-    pub fn enabled_in_env() -> bool {
-        !matches!(
-            std::env::var("TDTM_CACHE").ok().as_deref().map(str::trim),
-            Some("0") | Some("off")
-        )
-    }
-
-    /// The process-wide cache the engine's default entry points use:
-    /// `None` when `TDTM_CACHE=0`, disk-backed when `TDTM_CACHE_DIR` is
-    /// set, in-memory otherwise. Resolved once per process.
-    pub fn global() -> Option<&'static ResultCache> {
-        static GLOBAL: OnceLock<Option<ResultCache>> = OnceLock::new();
-        GLOBAL
-            .get_or_init(|| {
-                if !ResultCache::enabled_in_env() {
-                    return None;
-                }
-                match std::env::var("TDTM_CACHE_DIR") {
-                    Ok(dir) if !dir.trim().is_empty() => {
-                        Some(ResultCache::with_disk(dir.trim()))
-                    }
-                    _ => Some(ResultCache::in_memory()),
-                }
-            })
-            .as_ref()
+    /// The process-wide in-memory cache behind
+    /// [`run_threads`](crate::engine::ExperimentGrid::run_threads) and
+    /// [`run_streaming`](crate::engine::ExperimentGrid::run_streaming).
+    /// Always on; a caller that wants no cache, or a disk tier, passes
+    /// its own choice to the `*_cached` entry points instead.
+    pub fn global() -> &'static ResultCache {
+        static GLOBAL: OnceLock<ResultCache> = OnceLock::new();
+        GLOBAL.get_or_init(ResultCache::in_memory)
     }
 
     /// Whether the disk tier is active.
@@ -588,7 +573,7 @@ impl ResultCache {
             return;
         }
         // Write-then-rename so a concurrent reader (another process on
-        // the same TDTM_CACHE_DIR) never sees a truncated entry.
+        // the same cache directory) never sees a truncated entry.
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         let result = std::fs::write(&tmp, artifact.to_json())
             .and_then(|()| std::fs::rename(&tmp, &path));

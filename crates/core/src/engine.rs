@@ -8,9 +8,10 @@
 //! [`ExperimentGrid`] enumerates (workload × policy × config-variant)
 //! cells in a fixed order, [`shard_map`] fans them out over
 //! `std::thread::scope` workers, and results come back keyed by cell
-//! index. The reports are byte-identical regardless of worker count:
-//! `TDTM_THREADS=1` reproduces `TDTM_THREADS=8` exactly (only the
-//! wall-clock observability in [`RunObservation`] varies).
+//! index. The reports are byte-identical regardless of worker count: one
+//! worker reproduces eight exactly (only the wall-clock observability in
+//! [`RunObservation`] varies). Every entry point takes its worker count
+//! as an argument; the library reads no environment.
 //!
 //! Every `run_threads*` and `run_streaming*` entry point takes one cell
 //! path. Before any cell simulates, each is resolved against the result
@@ -30,7 +31,7 @@
 //! let grid = ExperimentGrid::new(ExperimentScale::quick())
 //!     .workload(tdtm_workloads::by_name("gcc").unwrap())
 //!     .policies(&[PolicyKind::None, PolicyKind::Pid]);
-//! let results = grid.run();
+//! let results = grid.run_threads(2);
 //! assert_eq!(results.runs.len(), 2);
 //! assert!(results.runs[0].obs.thermal_steps > 0);
 //! ```
@@ -53,20 +54,6 @@ use tdtm_workloads::{suite, Workload};
 /// scale and policy are set. A plain function pointer so cells stay
 /// `Clone` and trivially shareable across workers.
 pub type ConfigPatch = fn(&mut SimConfig);
-
-/// Worker count for [`ExperimentGrid::run`]: the `TDTM_THREADS`
-/// environment variable if set to a positive integer, else the machine's
-/// available parallelism.
-pub fn thread_count() -> usize {
-    if let Ok(v) = std::env::var("TDTM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
 
 /// Applies `f` to every item of `items`, sharding the work across
 /// `threads` scoped worker threads. Workers pull items from a shared
@@ -241,7 +228,7 @@ impl RunObservation {
 
 /// The result of one grid cell: the cell's identity, its deterministic
 /// [`RunReport`], host-side observability, and any extra payload produced
-/// by a [`run_with`](ExperimentGrid::run_with) closure.
+/// by a [`run_with_threads`](ExperimentGrid::run_with_threads) closure.
 #[derive(Clone, Debug)]
 pub struct RunResult<R = ()> {
     /// The cell's position in the grid enumeration.
@@ -256,7 +243,7 @@ pub struct RunResult<R = ()> {
     pub report: RunReport,
     /// Host-side timing and counters (not deterministic).
     pub obs: RunObservation,
-    /// Extra payload from `run_with` (unit for plain runs).
+    /// Extra payload from `run_with_threads` (unit for plain runs).
     pub extra: R,
 }
 
@@ -295,8 +282,7 @@ pub struct GridResults<R = ()> {
     /// Host wall-clock seconds for the whole grid.
     pub wall_seconds: f64,
     /// Result-cache tallies for this grid (`None` when the grid ran
-    /// without a cache, e.g. `TDTM_CACHE=0` or an explicit uncached
-    /// path).
+    /// without a cache).
     pub cache_stats: Option<CacheStats>,
 }
 
@@ -324,10 +310,11 @@ impl<R> GridResults<R> {
 
 /// A (workload × policy × config-variant) experiment grid.
 ///
-/// Build with the fluent methods, then [`run`](ExperimentGrid::run) (or
-/// [`run_with`](ExperimentGrid::run_with) to attach per-cell
-/// instrumentation). Cells are enumerated workload-major, then policy,
-/// then variant, and results always come back in that order.
+/// Build with the fluent methods, then
+/// [`run_threads`](ExperimentGrid::run_threads) (or
+/// [`run_with_threads`](ExperimentGrid::run_with_threads) to attach
+/// per-cell instrumentation). Cells are enumerated workload-major, then
+/// policy, then variant, and results always come back in that order.
 #[derive(Clone)]
 pub struct ExperimentGrid {
     scale: ExperimentScale,
@@ -430,55 +417,34 @@ impl ExperimentGrid {
         cells
     }
 
-    /// Runs every cell on [`thread_count`] workers.
-    pub fn run(&self) -> GridResults {
-        self.run_threads(thread_count())
-    }
-
     /// Runs every cell on exactly `threads` workers. The reports are
     /// identical for any `threads` value. Cells whose variant configures
     /// a multicore chip run on the chip simulator (reporting core 0);
     /// everything else takes the single-core path.
     ///
     /// Runs through the process-wide content-addressed result cache
-    /// ([`ResultCache::global`]) unless `TDTM_CACHE=0`: previously
-    /// simulated cells replay their byte-identical report without
-    /// simulating, and identical cells within the grid simulate once.
+    /// ([`ResultCache::global`]): previously simulated cells replay their
+    /// byte-identical report without simulating, and identical cells
+    /// within the grid simulate once.
     pub fn run_threads(&self, threads: usize) -> GridResults {
-        self.run_cells(threads, ResultCache::global(), None, |_| ())
+        self.run_threads_cached(threads, Some(ResultCache::global()))
     }
 
-    /// [`run_threads`](ExperimentGrid::run_threads) without the result
-    /// cache: every cell simulates — the reference path identity tests
-    /// and benchmarks compare against.
-    pub fn run_threads_uncached(&self, threads: usize) -> GridResults {
-        self.run_cells(threads, None, None, |_| ())
+    /// [`run_threads`](ExperimentGrid::run_threads) against the given
+    /// [`ResultCache`] instead of the process-wide one, or with none:
+    /// with `None` every cell simulates and nothing is stored — the
+    /// reference path identity tests and benchmarks compare against.
+    /// Reports are byte-identical either way (pinned by
+    /// `tests/engine.rs`).
+    pub fn run_threads_cached(&self, threads: usize, cache: Option<&ResultCache>) -> GridResults {
+        self.run_cells(threads, cache, None, |_| ())
     }
 
-    /// [`run_threads`](ExperimentGrid::run_threads) against an explicit
-    /// [`ResultCache`] (tests and benchmarks use their own instead of
-    /// the process-wide one). Reports are byte-identical to
-    /// [`run_threads_uncached`](ExperimentGrid::run_threads_uncached)
-    /// — pinned by `tests/engine.rs`.
-    pub fn run_threads_cached(&self, threads: usize, cache: &ResultCache) -> GridResults {
-        self.run_cells(threads, Some(cache), None, |_| ())
-    }
-
-    /// Runs every cell through a custom driver on [`thread_count`]
-    /// workers. The driver builds and runs the cell's simulator itself
-    /// (typically starting from [`GridCell::simulator`]) so it can attach
-    /// proxies, traces, or sensors, and returns the report plus any extra
-    /// payload.
-    pub fn run_with<R, F>(&self, f: F) -> GridResults<R>
-    where
-        R: Send,
-        F: Fn(&GridCell) -> (RunReport, R) + Sync,
-    {
-        self.run_with_threads(thread_count(), f)
-    }
-
-    /// [`run_with`](ExperimentGrid::run_with) on exactly `threads`
-    /// workers.
+    /// Runs every cell through a custom driver on exactly `threads`
+    /// workers, with no result cache. The driver builds and runs the
+    /// cell's simulator itself (typically starting from
+    /// [`GridCell::simulator`]) so it can attach proxies, traces, or
+    /// sensors, and returns the report plus any extra payload.
     pub fn run_with_threads<R, F>(&self, threads: usize, f: F) -> GridResults<R>
     where
         R: Send,
@@ -514,36 +480,35 @@ impl ExperimentGrid {
     /// `tests/observability.rs`): sort any N-thread stream by cell
     /// `index` and its deterministic fields equal a 1-thread run's stream
     /// ([`CellRecord::deterministic_eq`]); reports stay byte-identical to
-    /// a plain [`run`](ExperimentGrid::run).
+    /// a plain [`run_threads`](ExperimentGrid::run_threads).
     ///
     /// Returns the usual cell-ordered results with each cell's emitted
     /// record (including its stamp) as the extra payload.
     ///
-    /// Runs through the process-wide result cache ([`ResultCache::global`])
-    /// unless `TDTM_CACHE=0`: a cached cell re-emits its stored record —
-    /// identical on every deterministic field, flagged `cached: true` —
-    /// without simulating. With the cache off, records carry `cached:
-    /// None` and the stream is byte-identical to pre-cache builds.
+    /// Runs through the process-wide result cache ([`ResultCache::global`]):
+    /// a cached cell re-emits its stored record — identical on every
+    /// deterministic field, flagged `cached: true` — without simulating.
     pub fn run_streaming(
         &self,
         threads: usize,
         cfg: &TelemetryConfig,
         sink: &mut dyn StreamSink,
     ) -> GridResults<CellRecord> {
-        self.run_cells(threads, ResultCache::global(), Some((cfg, sink)), streamed_record)
+        self.run_cells(threads, Some(ResultCache::global()), Some((cfg, sink)), streamed_record)
     }
 
-    /// [`run_streaming`](ExperimentGrid::run_streaming) against an
-    /// explicit [`ResultCache`] (tests and benchmarks use their own
-    /// instead of the process-wide one).
+    /// [`run_streaming`](ExperimentGrid::run_streaming) against the given
+    /// [`ResultCache`] instead of the process-wide one, or with none: with
+    /// `None` every cell simulates, records carry `cached: None`, and the
+    /// stream is byte-identical to pre-cache builds.
     pub fn run_streaming_cached(
         &self,
         threads: usize,
         cfg: &TelemetryConfig,
         sink: &mut dyn StreamSink,
-        cache: &ResultCache,
+        cache: Option<&ResultCache>,
     ) -> GridResults<CellRecord> {
-        self.run_cells(threads, Some(cache), Some((cfg, sink)), streamed_record)
+        self.run_cells(threads, cache, Some((cfg, sink)), streamed_record)
     }
 
     /// The one cell path behind every `run_threads*` and `run_streaming*`
@@ -921,10 +886,5 @@ mod tests {
         drop(held); // released unpublished: the resolve step claims 2 itself
         let stats = resolver.join().expect("resolve finishes");
         assert_eq!((stats.cache_misses, stats.cache_hits), (3, 0));
-    }
-
-    #[test]
-    fn thread_count_is_at_least_one() {
-        assert!(thread_count() >= 1);
     }
 }

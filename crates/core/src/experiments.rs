@@ -1,12 +1,13 @@
 //! Experiment drivers: one function per paper table/figure family.
 //!
-//! The `tdtm-bench` binaries are thin wrappers that call these drivers and
-//! print tables; keeping the logic here makes it testable.
+//! The `tdtm-bench` binaries are thin wrappers that call these drivers (or
+//! run the grids they build) and print tables; keeping the logic here
+//! makes it testable. Nothing here reads the environment: scale and
+//! worker count are arguments.
 
 use crate::config::SimConfig;
 use crate::engine::{ConfigPatch, ExperimentGrid, GridResults};
 use crate::metrics::RunReport;
-use crate::multicore::ChipReport;
 use crate::simulator::Simulator;
 use tdtm_dtm::{PolicyKind, SupervisorConfig};
 use tdtm_thermal::comparison::AgreementCounts;
@@ -38,19 +39,6 @@ impl ExperimentScale {
         ExperimentScale { insts: 4_000_000, warmup_cycles: 200_000 }
     }
 
-    /// Reads the scale from the `TDTM_INSTS` environment variable, falling
-    /// back to [`ExperimentScale::standard`].
-    pub fn from_env() -> ExperimentScale {
-        let mut scale = ExperimentScale::standard();
-        if let Ok(v) = std::env::var("TDTM_INSTS") {
-            if let Ok(n) = v.trim().parse::<u64>() {
-                scale.insts = n.max(1);
-                scale.warmup_cycles = (n / 10).min(200_000);
-            }
-        }
-        scale
-    }
-
     /// A [`SimConfig`] at this scale with the given policy.
     pub fn config(&self, policy: PolicyKind) -> SimConfig {
         let mut cfg = SimConfig {
@@ -68,12 +56,6 @@ impl ExperimentScale {
 pub fn characterize(workload: &Workload, scale: ExperimentScale) -> RunReport {
     let mut sim = Simulator::for_workload(scale.config(PolicyKind::None), workload);
     sim.run()
-}
-
-/// Characterizes the whole 18-benchmark suite without DTM, sharded over
-/// the experiment engine.
-pub fn characterize_suite(scale: ExperimentScale) -> Vec<RunReport> {
-    ExperimentGrid::new(scale).suite().run().reports()
 }
 
 /// Assigns a measured thermal category from a characterization run,
@@ -109,9 +91,11 @@ pub struct ProxyReport {
     pub per_block: Vec<(String, AgreementCounts)>,
 }
 
-/// Runs one proxy-scoring cell: builds the simulator from `cfg`, attaches
-/// the boxcar proxies, runs, and labels the agreement counts.
-fn proxy_cell_run(
+/// Runs `workload` under `cfg` with one boxcar proxy per window attached,
+/// and labels their agreement counts against the RC model: the cell
+/// behind [`proxy_comparison`], for a configuration built elsewhere (a
+/// grid cell's, say).
+pub fn score_proxies(
     cfg: SimConfig,
     workload: &Workload,
     structure_windows: &[usize],
@@ -164,30 +148,7 @@ pub fn proxy_comparison(
     // boxcar lags real heating *transients*, so the jump-started steady
     // state would hide exactly the dynamics Tables 9/10 measure.
     cfg.warm_start = false;
-    proxy_cell_run(cfg, workload, structure_windows, chipwide_windows, chip_threshold_w)
-}
-
-/// The Tables 9/10 proxy comparison over the whole suite, one engine cell
-/// per benchmark (each cold-started; see [`proxy_comparison`]). The extra
-/// payload of each cell is its [`ProxyReport`] list.
-pub fn proxy_comparison_suite(
-    scale: ExperimentScale,
-    structure_windows: &[usize],
-    chipwide_windows: &[usize],
-    chip_threshold_w: f64,
-) -> GridResults<Vec<ProxyReport>> {
-    ExperimentGrid::new(scale)
-        .suite()
-        .variant("cold", |cfg| cfg.warm_start = false)
-        .run_with(|cell| {
-            proxy_cell_run(
-                cell.config(),
-                &cell.workload,
-                structure_windows,
-                chipwide_windows,
-                chip_threshold_w,
-            )
-        })
+    score_proxies(cfg, workload, structure_windows, chipwide_windows, chip_threshold_w)
 }
 
 /// One benchmark's DTM-policy comparison (the Section 7 results).
@@ -219,9 +180,8 @@ fn baseline_first(policies: &[PolicyKind]) -> Vec<PolicyKind> {
     axis
 }
 
-/// The (suite × {baseline, policies…}) grid behind
-/// [`compare_policies_suite`] — exposed so binaries can run it themselves
-/// and print the engine's observability summary.
+/// The (suite × {baseline, policies…}) policy-comparison grid, for a
+/// caller to run and [`group_policy_comparisons`] over.
 pub fn compare_policies_grid(scale: ExperimentScale, policies: &[PolicyKind]) -> ExperimentGrid {
     ExperimentGrid::new(scale).suite().policies(&baseline_first(policies))
 }
@@ -253,27 +213,20 @@ pub fn group_policy_comparisons(results: &GridResults) -> Vec<DtmComparison> {
     out
 }
 
-/// Runs one workload under the baseline and each listed policy.
+/// Runs one workload under the baseline and each listed policy, on
+/// `threads` engine workers.
 pub fn compare_policies(
     workload: &Workload,
     scale: ExperimentScale,
     policies: &[PolicyKind],
+    threads: usize,
 ) -> DtmComparison {
     let grid = ExperimentGrid::new(scale)
         .workload(workload.clone())
         .policies(&baseline_first(policies));
-    group_policy_comparisons(&grid.run())
+    group_policy_comparisons(&grid.run_threads(threads))
         .pop()
         .expect("one workload yields one comparison")
-}
-
-/// Runs the policy comparison across the whole suite, sharded over the
-/// experiment engine.
-pub fn compare_policies_suite(
-    scale: ExperimentScale,
-    policies: &[PolicyKind],
-) -> Vec<DtmComparison> {
-    group_policy_comparisons(&compare_policies_grid(scale, policies).run())
 }
 
 /// Shared setup of every cross-core-interference variant: the chip is
@@ -316,7 +269,11 @@ pub fn interference_variants() -> Vec<(&'static str, ConfigPatch)> {
 
 /// Builds the cross-core-interference grid for one workload: the non-DTM
 /// baseline plus each requested policy, crossed with
-/// [`interference_variants`].
+/// [`interference_variants`]. Run it with [`GridCell::run_chip`] as the
+/// cell driver to keep each chip cell's full
+/// [`ChipReport`](crate::multicore::ChipReport).
+///
+/// [`GridCell::run_chip`]: crate::engine::GridCell::run_chip
 pub fn interference_grid(
     workload: &Workload,
     scale: ExperimentScale,
@@ -326,42 +283,6 @@ pub fn interference_grid(
         .workload(workload.clone())
         .policies(&baseline_first(policies))
         .variants(&interference_variants())
-}
-
-/// Runs the cross-core-interference study. Each cell's report is core 0's
-/// (the DTM-controlled core); the extra payload is the full [`ChipReport`]
-/// for multicore variants and `None` for the single-core control.
-pub fn interference_study(
-    workload: &Workload,
-    scale: ExperimentScale,
-    policies: &[PolicyKind],
-) -> GridResults<Option<ChipReport>> {
-    interference_grid(workload, scale, policies).run_with(|cell| cell.run_chip())
-}
-
-/// Mean performance loss (100 − %-of-baseline) across comparisons for one
-/// policy, counting only benchmarks where the policy ever engaged (the
-/// paper reports losses over the thermally active programs).
-pub fn mean_performance_loss(rows: &[DtmComparison], policy: PolicyKind) -> f64 {
-    let mut losses = Vec::new();
-    for row in rows {
-        if let Some(pct) = row.percent_of_baseline(policy) {
-            let engaged = row
-                .runs
-                .iter()
-                .find(|r| r.policy == policy.to_string())
-                .map(|r| r.engaged_samples > 0)
-                .unwrap_or(false);
-            if engaged {
-                losses.push(100.0 - pct);
-            }
-        }
-    }
-    if losses.is_empty() {
-        0.0
-    } else {
-        losses.iter().sum::<f64>() / losses.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -410,6 +331,7 @@ mod tests {
             &w,
             ExperimentScale::quick(),
             &[PolicyKind::Toggle1, PolicyKind::Pid],
+            2,
         );
         assert_eq!(cmp.runs.len(), 2);
         let pct = cmp.percent_of_baseline(PolicyKind::Pid).unwrap();
@@ -436,7 +358,7 @@ mod tests {
         }
         // The engine-backed single-workload path reproduces the same
         // reports (bitwise: the simulation is deterministic).
-        let serial = compare_policies(&gcc, ExperimentScale::quick(), &[PolicyKind::Toggle1]);
+        let serial = compare_policies(&gcc, ExperimentScale::quick(), &[PolicyKind::Toggle1], 1);
         assert_eq!(serial.baseline, grouped[0].baseline);
         assert_eq!(serial.runs, grouped[0].runs);
     }
@@ -456,12 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn interference_study_returns_chip_reports_for_chip_cells() {
+    fn interference_grid_returns_chip_reports_for_chip_cells() {
         let w = by_name("gcc").unwrap();
         let mut scale = ExperimentScale::quick();
         scale.insts = 10_000;
         scale.warmup_cycles = 500;
-        let results = interference_study(&w, scale, &[PolicyKind::Pid]);
+        let results = interference_grid(&w, scale, &[PolicyKind::Pid])
+            .run_with_threads(2, |cell| cell.run_chip());
         for run in &results.runs {
             let cores = if run.variant == "solo" { 1 } else { usize::from(run.extra.is_some()) };
             match (&run.extra, run.variant) {
@@ -473,13 +396,5 @@ mod tests {
                 (None, v) => panic!("{v}: multicore variant missing its chip report"),
             }
         }
-    }
-
-    #[test]
-    fn scale_from_env_parses() {
-        std::env::set_var("TDTM_INSTS", "12345");
-        let s = ExperimentScale::from_env();
-        assert_eq!(s.insts, 12345);
-        std::env::remove_var("TDTM_INSTS");
     }
 }

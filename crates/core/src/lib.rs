@@ -17,10 +17,15 @@
 //! * [`experiments`] — drivers that regenerate each of the paper's tables
 //!   and result figures (see `DESIGN.md` for the index);
 //! * [`engine`] — the parallel experiment engine: [`ExperimentGrid`]
-//!   shards (workload × policy × variant) cells across scoped threads
-//!   (`TDTM_THREADS`) with deterministic, cell-ordered results;
+//!   shards (workload × policy × variant) cells across a given number of
+//!   scoped threads with deterministic, cell-ordered results;
 //! * [`report`] — plain-text table formatting shared by the `tdtm-bench`
 //!   binaries.
+//!
+//! The library reads no environment variables: scale, worker count,
+//! result cache and idle-gap skipping are arguments or setters. The
+//! `tdtm-bench` binaries read the `TDTM_*` variables once and pass the
+//! values in.
 //!
 //! # Examples
 //!

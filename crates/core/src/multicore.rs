@@ -36,7 +36,7 @@
 use crate::config::SimConfig;
 use crate::cycle::{CoreSlot, CycleView, Machine, NoObserver, Observer};
 use crate::metrics::RunReport;
-use crate::simulator::{skip_default, Simulator, SkipWindow, TelemetryState};
+use crate::simulator::{Simulator, SkipWindow, TelemetryState};
 use std::sync::Arc;
 use tdtm_dtm::{ChipSupervisor, TriggerMechanism};
 use tdtm_isa::Program;
@@ -173,8 +173,8 @@ pub struct MulticoreSim {
     /// Collected telemetry of the last run.
     collected: Option<ChipTelemetry>,
     /// Fast-forwards chip-level gaps in which every active core is
-    /// provably idle (see [`set_skip`](MulticoreSim::set_skip); defaults
-    /// from `TDTM_SKIP`).
+    /// provably idle (see [`set_skip`](MulticoreSim::set_skip); on by
+    /// default).
     skip: bool,
     /// Records one [`SkipWindow`] per chip-level gap when enabled.
     log_skip_windows: bool,
@@ -268,19 +268,19 @@ impl MulticoreSim {
             chip_cycles: 0,
             telemetry: None,
             collected: None,
-            skip: skip_default(),
+            skip: true,
             log_skip_windows: false,
             skip_windows: Vec::new(),
         }
     }
 
-    /// Enables or disables chip-level idle-gap skipping, overriding the
-    /// `TDTM_SKIP` default. A gap opens only when *every* active core is
-    /// simultaneously inside a provably-idle window (parked cores are
-    /// idle by definition), and elides only the pipeline/power phase —
-    /// the coupled thermal step and all accounting still run per cycle —
-    /// so [`ChipReport`]s stay byte-identical either way (pinned by
-    /// `tests/hot_loop_identity.rs` and `tests/loop_contract.rs`).
+    /// Enables or disables chip-level idle-gap skipping (on by default).
+    /// A gap opens only when *every* active core is simultaneously inside
+    /// a provably-idle window (parked cores are idle by definition), and
+    /// elides only the pipeline/power phase — the coupled thermal step and
+    /// all accounting still run per cycle — so [`ChipReport`]s stay
+    /// byte-identical either way (pinned by `tests/hot_loop_identity.rs`
+    /// and `tests/loop_contract.rs`).
     pub fn set_skip(&mut self, on: bool) {
         self.skip = on;
     }

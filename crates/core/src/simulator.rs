@@ -28,15 +28,6 @@ pub(crate) const NUM_THERMAL: usize = 7;
 /// book-keep.
 pub(crate) const MIN_SKIP_WINDOW: u64 = 4;
 
-/// Whether the cycle loop fast-forwards across provably-idle windows:
-/// on unless the `TDTM_SKIP` environment variable is `0` or `off`.
-pub(crate) fn skip_default() -> bool {
-    !matches!(
-        std::env::var("TDTM_SKIP").ok().as_deref().map(str::trim),
-        Some("0") | Some("off")
-    )
-}
-
 /// Why a run loop fast-forwarded a window of cycles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SkipReason {
@@ -152,7 +143,7 @@ pub struct Simulator {
     /// [`set_reference_loop`](Simulator::set_reference_loop)).
     reference_loop: bool,
     /// Fast-forwards provably-idle windows (see
-    /// [`set_skip`](Simulator::set_skip); defaults from `TDTM_SKIP`).
+    /// [`set_skip`](Simulator::set_skip); on by default).
     skip: bool,
     /// Records one [`SkipWindow`] per fast-forwarded window when enabled
     /// (off by default so long runs don't grow a log nobody reads).
@@ -430,18 +421,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.cycles.is_empty()
     }
-
-    /// The maximum temperature of block `i` across the trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty or `i` out of range.
-    pub fn max_temperature(&self, i: usize) -> f64 {
-        self.temperatures
-            .iter()
-            .map(|t| t[i])
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
 }
 
 /// What a single-core run observes: telemetry, temperature proxies, the
@@ -627,7 +606,7 @@ impl Simulator {
             watch: Watch::default(),
             collected: None,
             reference_loop: false,
-            skip: skip_default(),
+            skip: true,
             log_skip_windows: false,
             skip_windows: Vec::new(),
             cfg,
@@ -759,12 +738,11 @@ impl Simulator {
         self.reference_loop = on;
     }
 
-    /// Enables or disables idle-gap skipping, overriding the `TDTM_SKIP`
-    /// default. Skipping never changes the report or any observation: a
-    /// gated, drained, or resync-stalled window is advanced with the same
-    /// per-cycle arithmetic the loop would have executed, and observers
-    /// still see every cycle, so [`RunReport`]s stay byte-identical
-    /// either way (pinned by `tests/hot_loop_identity.rs` and
+    /// Enables or disables idle-gap skipping (on by default). Skipping
+    /// never changes the report or any observation: a gated, drained, or
+    /// resync-stalled window is advanced with the same per-cycle
+    /// arithmetic the loop would have executed, and observers still see
+    /// every cycle, so [`RunReport`]s stay byte-identical either way (pinned by `tests/hot_loop_identity.rs` and
     /// `tests/loop_contract.rs`).
     pub fn set_skip(&mut self, on: bool) {
         self.skip = on;

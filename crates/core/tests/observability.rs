@@ -95,9 +95,9 @@ fn streaming_grid_is_deterministic_across_worker_counts() {
     // second run would replay the first's records and this test would
     // stop exercising thread-count determinism.
     let mut one_sink = MemorySink::new();
-    let one = grid.run_streaming_cached(1, &cfg, &mut one_sink, &ResultCache::in_memory());
+    let one = grid.run_streaming_cached(1, &cfg, &mut one_sink, Some(&ResultCache::in_memory()));
     let mut four_sink = MemorySink::new();
-    let four = grid.run_streaming_cached(4, &cfg, &mut four_sink, &ResultCache::in_memory());
+    let four = grid.run_streaming_cached(4, &cfg, &mut four_sink, Some(&ResultCache::in_memory()));
 
     assert_eq!(one.reports(), four.reports(), "reports shard-independent");
     assert_eq!(one_sink.records.len(), 4);
@@ -147,9 +147,9 @@ fn streaming_cache_replays_records_byte_identically() {
     let cache = ResultCache::in_memory();
 
     let mut cold_sink = MemorySink::new();
-    let cold = grid.run_streaming_cached(2, &cfg, &mut cold_sink, &cache);
+    let cold = grid.run_streaming_cached(2, &cfg, &mut cold_sink, Some(&cache));
     let mut warm_sink = MemorySink::new();
-    let warm = grid.run_streaming_cached(2, &cfg, &mut warm_sink, &cache);
+    let warm = grid.run_streaming_cached(2, &cfg, &mut warm_sink, Some(&cache));
 
     let cold_stats = cold.cache_stats.expect("cached run reports stats");
     assert_eq!((cold_stats.cache_hits, cold_stats.cache_misses), (0, 4));

@@ -25,7 +25,7 @@
 //! whole numbers; use `.double` data for general constants).
 
 use crate::inst::{Inst, Op};
-use crate::program::{DataSegment, Program, DATA_BASE, TEXT_BASE};
+use crate::program::{DataSegment, Program, DATA_BASE, STACK_BASE, TEXT_BASE};
 use crate::reg::{FReg, Reg};
 use std::collections::HashMap;
 use std::fmt;
@@ -199,6 +199,7 @@ fn handle_directive(
             for part in args.split(',') {
                 let v = parse_int(part.trim())
                     .ok_or_else(|| err(line, format!("bad .word operand `{part}`")))?;
+                reserve(data, 8, line)?;
                 data.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -211,6 +212,7 @@ fn handle_directive(
                     .trim()
                     .parse()
                     .map_err(|_| err(line, format!("bad .double operand `{part}`")))?;
+                reserve(data, 8, line)?;
                 data.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -219,9 +221,8 @@ fn handle_directive(
                 return Err(err(line, ".zero outside .data section"));
             }
             let n = parse_int(args).ok_or_else(|| err(line, "bad .zero size"))?;
-            if n < 0 {
-                return Err(err(line, "negative .zero size"));
-            }
+            let n = u64::try_from(n).map_err(|_| err(line, "negative .zero size"))?;
+            reserve(data, n, line)?;
             data.resize(data.len() + n as usize, 0);
         }
         other => return Err(err(line, format!("unknown directive `.{other}`"))),
@@ -229,15 +230,32 @@ fn handle_directive(
     Ok(())
 }
 
+/// Checks that `n` more bytes fit the data segment, which must end below
+/// the stack ([`STACK_BASE`]).
+fn reserve(data: &[u8], n: u64, line: usize) -> Result<(), AsmError> {
+    if n > STACK_BASE - DATA_BASE - data.len() as u64 {
+        return Err(err(line, "data segment runs into the stack"));
+    }
+    Ok(())
+}
+
 fn parse_int(s: &str) -> Option<i64> {
     let s = s.trim();
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16).ok()
+        parse_hex(hex)
     } else if let Some(hex) = s.strip_prefix("-0x") {
-        i64::from_str_radix(hex, 16).ok().map(|v| -v)
+        parse_hex(hex)?.checked_neg()
     } else {
         s.parse().ok()
     }
+}
+
+/// Hex digits alone: `from_str_radix` would also take a sign.
+fn parse_hex(digits: &str) -> Option<i64> {
+    if digits.starts_with(['+', '-']) {
+        return None;
+    }
+    i64::from_str_radix(digits, 16).ok()
 }
 
 fn parse_statement(text: &str, line: usize, out: &mut Vec<Pending>) -> Result<(), AsmError> {
@@ -649,8 +667,9 @@ mod tests {
 
     #[test]
     fn hex_immediates() {
-        let p = assemble("li x1, 0x10\nhalt").unwrap();
+        let p = assemble("li x1, 0x10\nli x2, -0x10\nhalt").unwrap();
         assert_eq!(p.insts[0].imm, 16);
+        assert_eq!(p.insts[1].imm, -16);
     }
 
     #[test]

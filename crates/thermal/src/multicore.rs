@@ -124,11 +124,6 @@ impl MulticoreFloorplan {
         self.cores
     }
 
-    /// Blocks per core.
-    pub fn blocks_per_core(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// The normal-resistance scale applied to core `k`.
     pub fn core_scale(&self, k: usize) -> f64 {
         assert!(k < self.cores, "core index out of range");
@@ -300,12 +295,6 @@ impl CoupledChip {
             }
         }
         best
-    }
-
-    /// The net coupling inflow (W) computed for core `k` by the last
-    /// [`step`](CoupledChip::step) (all zeros before the first step).
-    pub fn last_flows(&self, k: usize) -> &[Watts] {
-        &self.flows[k]
     }
 
     /// Advances every core one step under `powers[core][block]` watts.

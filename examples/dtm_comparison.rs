@@ -37,7 +37,8 @@ fn main() {
     ];
 
     println!("benchmark: {bench} ({} category)", workload.category);
-    let cmp = compare_policies(&workload, scale, &policies);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cmp = compare_policies(&workload, scale, &policies, threads);
     println!(
         "baseline (no DTM): IPC {:.2}, {:.2}% of cycles in thermal emergency\n",
         cmp.baseline.ipc,

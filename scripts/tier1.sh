@@ -4,11 +4,24 @@
 # root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-# The engine and simulator read these at run time. An exported value in
-# the caller's shell (a TDTM_CACHE_DIR, TDTM_SKIP=0) would turn the
-# default-path tests below into disk replays or non-skipping runs; the
-# smokes that need one set it per command.
+# The tdtm-bench binaries read these at run time (the libraries and the
+# tests read none). An exported value in the caller's shell (a
+# TDTM_CACHE_DIR, TDTM_SKIP=0) would turn the binary smokes below into
+# disk replays or non-skipping runs; the smokes that need one set it per
+# command.
 unset TDTM_SKIP TDTM_CACHE TDTM_CACHE_DIR TDTM_THREADS TDTM_INSTS
+
+echo "== tier 1: library crates read no environment =="
+# Only the binaries read TDTM_* (through tdtm_bench::from_env); a library
+# result must be a function of its arguments alone.
+LIB_SRC=""
+for CRATE in isa frontend uarch power thermal control dtm workloads core telemetry prng; do
+  LIB_SRC="$LIB_SRC crates/$CRATE/src"
+done
+# shellcheck disable=SC2086
+if grep -rnE 'env::(var|vars|var_os|set_var|remove_var)' $LIB_SRC; then
+  echo "a library crate reads or writes the environment (above)"; exit 1
+fi
 
 echo "== tier 1: release build =="
 cargo build --release --workspace
@@ -60,10 +73,19 @@ diff <(obs_norm "$OBS_STREAM".s1) <(obs_norm "$OBS_STREAM".s2) || { echo "cache 
 diff <(obs_norm "$OBS_STREAM".s1) <(obs_norm "$OBS_STREAM".s3) || { echo "cache smoke: TDTM_CACHE=0 diverged from cold stream"; exit 1; }
 test "$(ls "$CACHE_DIR" | wc -l)" -ge 4 || { echo "cache smoke: disk tier holds no entries"; exit 1; }
 
-echo "== tier 1: multicore interference smoke =="
+echo "== tier 1: multicore interference smoke (TDTM_THREADS=1 vs 2) =="
 # The cross-core figure end-to-end at a tiny budget: coupled chips, the
 # supervisor, and both retrieved-literature policies through the engine.
-TDTM_INSTS=8000 cargo run -q --release -p tdtm-bench --bin fig_multicore_interference > /dev/null
+# Run on one and on two workers: stdout (host timings go to stderr) must
+# match byte for byte, and stderr must show TDTM_THREADS reached the
+# engine.
+MC1="$(TDTM_INSTS=8000 TDTM_THREADS=1 cargo run -q --release -p tdtm-bench --bin fig_multicore_interference 2> /dev/null)"
+MC2_ERR="$(mktemp /tmp/tier1_mc2.XXXXXX)"
+MC2="$(TDTM_INSTS=8000 TDTM_THREADS=2 cargo run -q --release -p tdtm-bench --bin fig_multicore_interference 2> "$MC2_ERR")"
+test -n "$MC1" || { echo "interference smoke: no output captured"; exit 1; }
+diff <(echo "$MC1") <(echo "$MC2") || { echo "interference smoke: stdout depends on the worker count"; exit 1; }
+grep -q 'on 2 thread(s)' "$MC2_ERR" || { echo "interference smoke: TDTM_THREADS=2 did not reach the engine"; exit 1; }
+rm -f "$MC2_ERR"
 
 echo "== tier 1: bench regression smoke (simulator_throughput vs BENCH_simloop.json) =="
 # Reduced batch count (--quick: one rep per row, no calibrated micro rows);

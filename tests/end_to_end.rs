@@ -10,6 +10,9 @@ fn scale() -> ExperimentScale {
     ExperimentScale { insts: 150_000, warmup_cycles: 10_000 }
 }
 
+/// Engine workers for the policy comparisons (reports do not depend on it).
+const THREADS: usize = 2;
+
 #[test]
 fn hot_workload_overheats_without_dtm() {
     let w = by_name("gcc").expect("suite");
@@ -39,7 +42,7 @@ fn every_policy_eliminates_emergencies_on_gcc() {
         PolicyKind::Pi,
         PolicyKind::Pid,
     ];
-    let cmp = compare_policies(&w, scale(), &policies);
+    let cmp = compare_policies(&w, scale(), &policies, THREADS);
     assert!(cmp.baseline.emergency_cycles > 0, "baseline must overheat");
     for run in &cmp.runs {
         assert_eq!(
@@ -54,7 +57,7 @@ fn every_policy_eliminates_emergencies_on_gcc() {
 fn ct_dtm_beats_fixed_toggling_on_performance() {
     // The paper's headline, at test scale, on one extreme benchmark.
     let w = by_name("bzip2").expect("suite");
-    let cmp = compare_policies(&w, scale(), &[PolicyKind::Toggle1, PolicyKind::Pid]);
+    let cmp = compare_policies(&w, scale(), &[PolicyKind::Toggle1, PolicyKind::Pid], THREADS);
     let toggle1 = cmp.percent_of_baseline(PolicyKind::Toggle1).expect("ran");
     let pid = cmp.percent_of_baseline(PolicyKind::Pid).expect("ran");
     assert!(
@@ -70,6 +73,7 @@ fn dtm_never_exceeds_baseline_performance() {
         &w,
         scale(),
         &[PolicyKind::Toggle1, PolicyKind::Toggle2, PolicyKind::Pid],
+        THREADS,
     );
     for run in &cmp.runs {
         let pct = run.percent_of(&cmp.baseline);

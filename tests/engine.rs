@@ -32,8 +32,8 @@ fn one_thread_reproduces_many_threads_byte_for_byte() {
     // `run_threads` call would replay the first run's reports and this
     // test would stop exercising thread-count determinism.
     let grid = small_grid();
-    let serial = grid.run_threads_uncached(1);
-    let parallel = grid.run_threads_uncached(4);
+    let serial = grid.run_threads_cached(1, None);
+    let parallel = grid.run_threads_cached(4, None);
     assert_eq!(serial.threads, 1);
     assert_eq!(parallel.threads, 4);
 
@@ -117,9 +117,9 @@ fn cached_rerun_replays_byte_identical_reports() {
     // of NaN).
     let grid = small_grid();
     let cache = ResultCache::in_memory();
-    let reference = grid.run_threads_uncached(1);
-    let cold = grid.run_threads_cached(4, &cache);
-    let warm = grid.run_threads_cached(4, &cache);
+    let reference = grid.run_threads_cached(1, None);
+    let cold = grid.run_threads_cached(4, Some(&cache));
+    let warm = grid.run_threads_cached(4, Some(&cache));
 
     let n = reference.runs.len() as u64;
     let cold_stats = cold.cache_stats.expect("cached run reports stats");
@@ -158,7 +158,7 @@ fn identical_cells_within_a_grid_simulate_once() {
         .policies(&[PolicyKind::None, PolicyKind::Pid])
         .variants(&[("base", |_| {}), ("twin", |_| {})]);
     let cache = ResultCache::in_memory();
-    let results = grid.run_threads_cached(4, &cache);
+    let results = grid.run_threads_cached(4, Some(&cache));
     let stats = results.cache_stats.expect("cached run reports stats");
     assert_eq!(stats.cache_misses, 2, "one simulation per distinct fingerprint");
     assert_eq!(stats.cache_hits, 2, "each twin replays its leader");
@@ -185,7 +185,7 @@ fn identical_cells_within_a_grid_simulate_once() {
         4,
         &TelemetryConfig::metrics_and_phases(),
         &mut sink,
-        &ResultCache::in_memory(),
+        Some(&ResultCache::in_memory()),
     );
     let stats = streamed.cache_stats.expect("cached run reports stats");
     assert_eq!(stats.cache_misses, 2, "one streamed simulation per distinct fingerprint");
@@ -219,13 +219,13 @@ fn streamed_grid_reports_match_the_uncached_reference() {
     // same chip-aware path as the plain one: single-core and two-core
     // cells alike come back byte-identical to the uncached reference.
     let grid = small_grid();
-    let reference = grid.run_threads_uncached(1);
+    let reference = grid.run_threads_cached(1, None);
     let mut sink = MemorySink::new();
     let streamed = grid.run_streaming_cached(
         2,
         &TelemetryConfig::metrics_and_phases(),
         &mut sink,
-        &ResultCache::in_memory(),
+        Some(&ResultCache::in_memory()),
     );
     assert_eq!(sink.records.len(), reference.runs.len());
     assert_eq!(

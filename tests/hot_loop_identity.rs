@@ -85,7 +85,7 @@ fn engine_dispatch_matches_both_loops_across_policies() {
             cfg.max_insts = 120_000;
             cfg.heatsink_temp = 107.0;
         });
-    let dispatched = grid.run_threads_uncached(1);
+    let dispatched = grid.run_threads_cached(1, None);
     assert_eq!(dispatched.runs.len(), 4);
     for run in &dispatched.runs {
         let (fast, _) = run_with(hot_cfg(run.policy), "gcc", false);

@@ -92,7 +92,7 @@ fn run_engine(cfg: &SimConfig, bench: &str) -> RunReport {
                 .clone()
                 .expect("cell config set");
         });
-    let mut results = grid.run_threads_uncached(1);
+    let mut results = grid.run_threads_cached(1, None);
     assert_eq!(results.runs.len(), 1);
     results.runs.remove(0).report
 }

@@ -1,16 +1,21 @@
-//! Hostile-input fuzzing for the hand-rolled JSON readers.
+//! Hostile-input fuzzing for the hand-rolled parsers.
 //!
 //! The JSONL stream (`CellRecord::from_json`) and the result cache's disk
 //! entries (`CellArtifact::from_json`) are read back from files that can
-//! be truncated or corrupted. The rule: any input is `Ok` or `Err`, never
-//! a panic or an abort, and a record that parses re-serializes to a
-//! fixed point. Inputs are seeded random bytes (biased toward JSON
-//! syntax) and random mutations of valid records and entries.
+//! be truncated or corrupted; the assembler (`asm::assemble`) and the
+//! instruction decoder (`encoding::decode`) take arbitrary text and
+//! words. The rule: any input is `Ok` or `Err`, never a panic or an
+//! abort. A record that parses re-serializes to a fixed point; an
+//! instruction that decodes encodes back to itself, and its `Display`
+//! assembles back to the same instruction. Inputs are seeded random
+//! bytes, tokens and words (biased toward each parser's syntax) and
+//! random mutations of valid records, entries and kernel sources.
 
 use tdtm::core::{CellArtifact, SimConfig, Simulator};
+use tdtm::isa::{asm, encoding, Inst, Op};
 use tdtm::telemetry::stream::json;
 use tdtm::telemetry::CellRecord;
-use tdtm::workloads::by_name;
+use tdtm::workloads::{by_name, kernels};
 use tdtm_prng::Rng;
 
 /// Characters that steer random input into the parser's deeper states.
@@ -196,4 +201,155 @@ fn nesting_bombs_are_errors() {
         assert!(CellArtifact::from_json(&bomb).is_err());
         assert!(CellRecord::parse_jsonl(&bomb).is_err());
     }
+}
+
+/// Operands that steer random assembler input into the number, register,
+/// memory-operand and label paths, hostile literals included.
+const ASM_OPERANDS: &[&str] = &[
+    "X7", "0", "7", "-1", "+8", "1023", "-1024",
+    "2147483647", "-2147483648", "2147483648", "9223372036854775807", "-9223372036854775808",
+    "0x10", "0X7ff", "-0x10", "0x-5", "0x+5", "-0x-8000000000000000", "-0x8000000000000000",
+    "0x7fffffffffffffff", "8(x2)", "-0x10(x3)", "(x1)", "4(x1", "4(f1)", "loop", "buf", "1bad",
+    "2.5", "nan", "-inf", "",
+];
+
+/// Mnemonics, pseudo-instructions and directives (and a few that are
+/// none of these).
+const ASM_HEADS: &[&str] = &[
+    "li", "la", "mv", "j", "call", "ret", "bgt", "ble", "fmvi", "lw", "sw", "flw", "fsw", "beq",
+    "jal", "jalr", "lui", "fcvt.d.w", "out", "halt", "bogus", ".data", ".text", ".word",
+    ".double", ".zero", ".space", ".bogus",
+];
+
+fn random_asm_line(rng: &mut Rng) -> String {
+    match rng.below(8) {
+        0 => format!("{}:", rng.choose(&["loop", "buf", "a.b", "1bad", "x", ""])),
+        1 => random_text(rng, 24),
+        _ => {
+            let head = if rng.next_f64() < 0.7 {
+                rng.choose(Op::all()).mnemonic()
+            } else {
+                rng.choose(ASM_HEADS)
+            };
+            let operands: Vec<String> = (0..rng.below(4))
+                .map(|_| match rng.below(4) {
+                    0 => format!("x{}", rng.below(33)),
+                    1 => format!("f{}", rng.below(33)),
+                    _ => rng.choose(ASM_OPERANDS).to_string(),
+                })
+                .collect();
+            format!("{head} {}", operands.join(", "))
+        }
+    }
+}
+
+/// Whether `source` asks for a `.zero`/`.space` block over 1 MiB. Any size
+/// that fits below the stack is legal, so such a block assembles; the
+/// fuzz skips it only to keep its own memory small.
+fn allocates_a_lot(source: &str) -> bool {
+    source.lines().any(|line| {
+        ["zero", "space"].iter().any(|d| {
+            line.split_once(d).is_some_and(|(_, size)| {
+                size.chars().filter(char::is_ascii_hexdigit).count() > 5
+            })
+        })
+    })
+}
+
+/// Assembles `source`; whatever assembles must encode, decode and print
+/// back to itself.
+fn feed_asm(source: &str) {
+    if allocates_a_lot(source) {
+        return;
+    }
+    if let Ok(program) = asm::assemble(source) {
+        for inst in &program.insts {
+            assert_round_trips(inst);
+        }
+    }
+}
+
+/// `decode(encode(i)) == i`, and the `Display` of `i` assembles to one
+/// instruction that prints the same: every operand field the syntax
+/// shows survives (fields an opcode ignores have no syntax and assemble
+/// as zero).
+fn assert_round_trips(inst: &Inst) {
+    let e = encoding::encode(inst);
+    assert_eq!(encoding::decode(e.word, e.ext), Ok(*inst), "encode/decode of {inst}");
+    let text = inst.to_string();
+    let program = asm::assemble(&text).unwrap_or_else(|e| panic!("`{text}` does not assemble: {e}"));
+    assert_eq!(program.insts.len(), 1, "`{text}`");
+    assert_eq!(program.insts[0].to_string(), text, "`{text}` assembles to another instruction");
+}
+
+/// A second sign after `0x`, a negated `i64::MIN`, and data segments that
+/// would run into the stack (2146430976 bytes above the data base).
+const HOSTILE_SOURCES: &[&str] = &[
+    "li x1, -0x-8000000000000000\nhalt",
+    ".data\n.word -0x-8000000000000000",
+    "li x1, 0x-5\nhalt",
+    ".data\n.word 0x-5",
+    ".data\n.zero 0x7fffffffffffffff",
+    ".data\n.space 4294967296",
+    ".data\n.word 1\n.zero 2146430969",
+];
+
+#[test]
+fn hostile_assembler_inputs_are_errors() {
+    for source in HOSTILE_SOURCES {
+        assert!(asm::assemble(source).is_err(), "{source:?} must be rejected");
+    }
+}
+
+#[test]
+fn random_assembler_sources_never_panic() {
+    tdtm_prng::cases(2_000, 0xA55E_B1E5, |rng| {
+        let source: Vec<String> = (0..rng.below(10)).map(|_| random_asm_line(rng)).collect();
+        let source = source.join("\n");
+        feed_asm(&source);
+        for _ in 0..4 {
+            feed_asm(&mutate(rng, &source));
+        }
+    });
+}
+
+#[test]
+fn mutated_kernel_and_hostile_sources_never_panic() {
+    let kernels = [
+        kernels::int_dense(4),
+        kernels::fp_dense(4, 2),
+        kernels::load_bound(256, 4, true),
+        kernels::pointer_chase(8, 3),
+        kernels::branchy(3, 2),
+        kernels::call_heavy(2),
+        kernels::matmul(2),
+    ];
+    for source in &kernels {
+        let program = asm::assemble(source).expect("kernel sources assemble");
+        for inst in &program.insts {
+            assert_round_trips(inst);
+        }
+    }
+    let seeds: Vec<&str> =
+        kernels.iter().map(String::as_str).chain(HOSTILE_SOURCES.iter().copied()).collect();
+    for source in &seeds {
+        feed_asm(source);
+    }
+    tdtm_prng::cases(400, 0x6E27_E1A5, |rng| {
+        let source = rng.choose(&seeds);
+        for _ in 0..4 {
+            feed_asm(&mutate(rng, source));
+        }
+    });
+}
+
+#[test]
+fn random_words_decode_to_instructions_that_round_trip() {
+    tdtm_prng::cases(20_000, 0xDEC0_DE5E, |rng| {
+        let word = rng.next_u64() as u32;
+        let ext = (rng.next_f64() < 0.7).then(|| rng.next_u64() as u32);
+        if let Ok(inst) = encoding::decode(word, ext) {
+            assert_round_trips(&inst);
+        }
+    });
 }
