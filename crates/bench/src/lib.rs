@@ -1,13 +1,14 @@
 //! # tdtm-bench — benchmark harness and table/figure regeneration
 //!
 //! One binary per table/figure of the paper (see `DESIGN.md` §3 for the
-//! index), plus std-only microbenchmarks ([`microbench`]) backing the
-//! "computationally efficient" claims:
+//! index), plus std-only bench targets on [`microbench`]: ungated micro
+//! rows backing the "computationally efficient" claims, and `gates`, the
+//! tier-1 performance gates (in-process A/B ratios against fixed bounds):
 //!
 //! ```text
 //! cargo run -p tdtm-bench --release --bin table04_benchmarks
 //! TDTM_INSTS=4000000 cargo run -p tdtm-bench --release --bin fig_dtm_performance
-//! cargo bench -p tdtm-bench
+//! cargo bench -p tdtm-bench --bench gates
 //! ```
 //!
 //! The binaries are the only code in the workspace that reads the

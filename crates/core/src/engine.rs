@@ -55,10 +55,17 @@ use tdtm_workloads::{suite, Workload};
 /// `Clone` and trivially shareable across workers.
 pub type ConfigPatch = fn(&mut SimConfig);
 
+/// The number of workers [`shard_map`] runs `items` items on when asked
+/// for `threads`: at least one, and never more than there are items.
+fn workers(threads: usize, items: usize) -> usize {
+    threads.max(1).min(items.max(1))
+}
+
 /// Applies `f` to every item of `items`, sharding the work across
-/// `threads` scoped worker threads. Workers pull items from a shared
-/// atomic cursor (so uneven cell costs still balance), but the returned
-/// vector is ordered by item index — identical for any thread count.
+/// `threads` scoped worker threads (at most one per item). Workers pull
+/// items from a shared atomic cursor (so uneven cell costs still
+/// balance), but the returned vector is ordered by item index —
+/// identical for any thread count.
 ///
 /// # Panics
 ///
@@ -69,7 +76,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
+    let threads = workers(threads, items.len());
     if threads == 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
@@ -277,7 +284,9 @@ impl<R> RunResult<R> {
 pub struct GridResults<R = ()> {
     /// One result per cell, ordered by cell index.
     pub runs: Vec<RunResult<R>>,
-    /// Worker threads used.
+    /// Worker threads that simulated: the requested count clamped to the
+    /// number of cells that had to run (1 when every cell replayed on
+    /// the calling thread).
     pub threads: usize,
     /// Host wall-clock seconds for the whole grid.
     pub wall_seconds: f64,
@@ -417,7 +426,7 @@ impl ExperimentGrid {
         cells
     }
 
-    /// Runs every cell on exactly `threads` workers. The reports are
+    /// Runs every cell on up to `threads` workers. The reports are
     /// identical for any `threads` value. Cells whose variant configures
     /// a multicore chip run on the chip simulator (reporting core 0);
     /// everything else takes the single-core path.
@@ -440,7 +449,7 @@ impl ExperimentGrid {
         self.run_cells(threads, cache, None, |_| ())
     }
 
-    /// Runs every cell through a custom driver on exactly `threads`
+    /// Runs every cell through a custom driver on up to `threads`
     /// workers, with no result cache. The driver builds and runs the
     /// cell's simulator itself (typically starting from
     /// [`GridCell::simulator`]) so it can attach proxies, traces, or
@@ -459,7 +468,7 @@ impl ExperimentGrid {
         });
         GridResults {
             runs,
-            threads,
+            threads: workers(threads, cells.len()),
             wall_seconds: grid_start.elapsed().as_secs_f64(),
             cache_stats: None,
         }
@@ -626,7 +635,7 @@ impl ExperimentGrid {
                     RunResult::new(cell, report, wall, extra(record))
                 })
                 .collect(),
-            threads,
+            threads: workers(threads, misses.len()),
             wall_seconds: grid_start.elapsed().as_secs_f64(),
             cache_stats: cache.map(|_| stats),
         }

@@ -87,14 +87,6 @@ diff <(echo "$MC1") <(echo "$MC2") || { echo "interference smoke: stdout depends
 grep -q 'on 2 thread(s)' "$MC2_ERR" || { echo "interference smoke: TDTM_THREADS=2 did not reach the engine"; exit 1; }
 rm -f "$MC2_ERR"
 
-echo "== tier 1: bench regression smoke (simulator_throughput vs BENCH_simloop.json) =="
-# Reduced batch count (--quick: one rep per row, no calibrated micro rows);
-# fails if any shared row regresses >3x against the committed baseline.
-# The bench also self-gates the idle-gap-skipping speedup on the
-# sim_run_gcc_toggle / _noskip pair (floor 1.5x).
-# Absolute path: cargo runs bench binaries with CWD = the package dir.
-cargo bench -p tdtm-bench --bench simulator_throughput -- --quick --check "$PWD/BENCH_simloop.json"
-
 echo "== tier 1: idle-gap skip identity smoke (TDTM_SKIP=0 vs default) =="
 # One toggle-policy cell both ways through the env-var opt-out, on a single
 # core and on a 2-core chip, each under full telemetry. Observed runs take
@@ -114,15 +106,12 @@ for CELL in "" "--cores 2"; do
   diff <(echo "$SKIP_ON") <(echo "$SKIP_OFF") || { echo "idle-gap skipping perturbed the run ($CELL)"; exit 1; }
 done
 
-echo "== tier 1: grid throughput smoke (grid_throughput vs BENCH_grid.json) =="
-# Full 18x5 hot grid through the uncached per-cell dispatch; fails if it
-# regresses >3x against the committed cells/sec baseline.
-cargo bench -p tdtm-bench --bench grid_throughput -- --quick --check "$PWD/BENCH_grid.json"
-
-echo "== tier 1: warm-repeat throughput smoke (grid_repeat_throughput vs BENCH_grid.json) =="
-# Cold vs warm-memory vs warm-disk repeats of the same 18x5 hot grid
-# through the content-addressed result cache; self-gates warm-mem >= 5x
-# cold cells/s and fails on >3x regression vs the committed rows.
-cargo bench -p tdtm-bench --bench grid_repeat_throughput -- --quick --check "$PWD/BENCH_grid.json"
+echo "== tier 1: performance gates (cargo bench --bench gates) =="
+# Each gate times an A/B pair alternately in one process and fails on
+# the median B/A ratio: four cells and the cold 18x5 grid over a std-only
+# reference kernel, idle-gap skipping, the warm memory and disk cache
+# replays, and the telemetry overhead. The bounds and the ratios they
+# were set from are consts in crates/bench/benches/gates.rs.
+cargo bench -p tdtm-bench --bench gates
 
 echo "tier 1: OK"

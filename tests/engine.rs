@@ -259,3 +259,22 @@ fn shard_map_runs_each_item_once_under_contention() {
         assert_eq!(h.load(Ordering::SeqCst), 1, "item {i} must run exactly once");
     }
 }
+
+#[test]
+fn reported_threads_count_the_workers_that_simulated() {
+    // One cell cannot keep three workers busy: `shard_map` runs it on
+    // one, and the results say so.
+    let gcc = ExperimentGrid::new(ExperimentScale::quick())
+        .workload(by_name("gcc").expect("suite workload"));
+    let one = gcc.clone().policies(&[PolicyKind::None]);
+    assert_eq!(one.run_threads_cached(3, None).threads, 1);
+    assert_eq!(one.run_with_threads(3, |cell| (cell.simulator().run(), ())).threads, 1);
+    // Two misses run on two of the three workers; a fully cached repeat
+    // simulates nothing and replays on the calling thread.
+    let two = gcc.policies(&[PolicyKind::None, PolicyKind::Pid]);
+    let cache = ResultCache::in_memory();
+    assert_eq!(two.run_threads_cached(3, Some(&cache)).threads, 2);
+    let warm = two.run_threads_cached(3, Some(&cache));
+    assert_eq!(warm.cache_stats.expect("cached run reports stats").cache_misses, 0);
+    assert_eq!(warm.threads, 1);
+}
