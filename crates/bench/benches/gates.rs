@@ -1,12 +1,15 @@
 //! The tier-1 performance gates: `cargo bench -p tdtm-bench --bench gates`.
 //!
-//! Every gate times an A/B pair alternately in this one process
-//! ([`alternate`]) and checks the median of the per-pair B/A ratios
-//! against a bound ([`Bound`]); it prints the median and range of each
-//! side (ms) and of B/A. A ratio taken within one process moves with the
-//! host, so the bounds can be tight: absolute ns from another day could
-//! not fail without also failing on a busy host. Exit status 1 if any
-//! gate fails. The target takes no arguments.
+//! Every gate times an A/B pair alternately in this one process and
+//! checks the median of the per-pair B/A ratios against a bound
+//! ([`Bound`]); it prints the median and range of each side (ms) and of
+//! B/A. The gates' pairs run round-robin ([`run_gates`]), so each gate's
+//! pairs spread across the whole target run and a host burst of a few
+//! seconds lands on a few pairs of every gate rather than on all pairs of
+//! one. A ratio taken within one process moves with the host, so the
+//! bounds can be tight: absolute ns from another day could not fail
+//! without also failing on a busy host. Exit status 1 if any gate fails.
+//! The target takes no arguments.
 //!
 //! - **Host-normalized cells**: a whole run (or the cold 18 × 5 grid)
 //!   over [`reference`], a std-only kernel that calls no `tdtm` code.
@@ -25,7 +28,7 @@ use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
 
-use tdtm_bench::microbench::{alternate, Bound};
+use tdtm_bench::microbench::{run_gates, Bound, Gate};
 use tdtm_core::engine::ExperimentGrid;
 use tdtm_core::experiments::ExperimentScale;
 use tdtm_core::{MulticoreSim, ResultCache, SimConfig, Simulator};
@@ -63,8 +66,8 @@ const WARM_MEMORY_FLOOR: f64 = 5.0;
 /// 18 × 5 grid, cold / warm replay from a populated cache directory:
 /// recorded 101 (98–109).
 const WARM_DISK_FLOOR: f64 = 5.0;
-/// gcc PID run, `metrics_and_phases` telemetry / off: recorded 1.81
-/// (1.72–2.01). Always-on observability aims to bring this toward 1.
+/// gcc PID run, `metrics_and_phases` telemetry / off: recorded 1.75
+/// (1.66–1.79). Always-on observability aims to bring this toward 1.
 const TELEMETRY_CEILING: f64 = 3.0;
 
 /// The host yardstick: fill 256 Ki `u64` from a xorshift and sort them
@@ -138,15 +141,18 @@ fn grid_pass(grid: &ExperimentGrid, cache: Option<&ResultCache>, misses: u64) ->
     results.wall_seconds * 1e3
 }
 
-/// Gates `run` (ms) over [`reference`] at `ceiling`.
-fn normalized(name: &str, ceiling: f64, pairs: usize, run: impl FnMut() -> f64) -> bool {
-    let (reference, cell) = alternate(pairs, reference, run);
-    Bound::Ceiling(ceiling).check(&format!("{name} / reference"), &reference, &cell)
+/// A gate on `run` (ms) over [`reference`] at `ceiling`.
+fn normalized<'a>(
+    name: &str,
+    ceiling: f64,
+    pairs: usize,
+    run: impl FnMut() -> f64 + 'a,
+) -> Gate<'a> {
+    Gate::new(format!("{name} / reference"), pairs, Bound::Ceiling(ceiling), reference, run)
 }
 
 fn main() {
     let start = Instant::now();
-    let mut ok = true;
 
     let mut leak = cell(PolicyKind::None, 103.0);
     leak.leakage = Some(tdtm_power::LeakageModel::node_180nm());
@@ -156,60 +162,20 @@ fn main() {
     mc4.chip.supervisor = Some(SupervisorConfig::default());
     let none = cell(PolicyKind::None, 103.0);
     let pid = cell(PolicyKind::Pid, 107.0);
-    ok &= normalized("sim_run_gcc_none", GCC_NONE_CEILING, PAIRS, || sim_run(&none, |_| {}));
-    ok &= normalized("sim_run_gcc_pid", GCC_PID_CEILING, PAIRS, || sim_run(&pid, |_| {}));
-    ok &= normalized("sim_run_gcc_leak", GCC_LEAK_CEILING, PAIRS, || sim_run(&leak, |_| {}));
-    ok &= normalized("sim_run_mc4_super", MC4_SUPER_CEILING, PAIRS, || chip_run(&mc4));
-
     // At 108 C toggle1 gates fetch from the first sample to the
     // `max_cycles` cap: the pure idle-gap regime.
     let mut toggle = cell(PolicyKind::Toggle1, 108.0);
     toggle.max_cycles = 1_000_000;
-    let (on, off) = alternate(
-        PAIRS,
-        || sim_run(&toggle, |sim| sim.set_skip(true)),
-        || sim_run(&toggle, |sim| sim.set_skip(false)),
-    );
-    ok &= Bound::Floor(SKIP_FLOOR).check("sim_run_gcc_toggle noskip / skip", &on, &off);
-
     let mut traced = SimConfig::quick_test();
     traced.dtm.policy = PolicyKind::Pid;
     traced.max_insts = 60_000;
     let phases = TelemetryConfig::metrics_and_phases();
-    let (plain, observed) = alternate(
-        PAIRS,
-        || sim_run(&traced, |_| {}),
-        || sim_run(&traced, |sim| sim.enable_telemetry(&phases)),
-    );
-    ok &= Bound::Ceiling(TELEMETRY_CEILING).check(
-        "sim_run_gcc_pid metrics_and_phases / off",
-        &plain,
-        &observed,
-    );
 
     let grid = hot_grid();
     let cells = grid.len() as u64;
-    // One worker, like the reference: a second worker would make the
-    // ratio depend on how busy the host's other vCPU is.
-    ok &= normalized("grid18x5_cold, 1 worker", GRID_COLD_CEILING, GRID_PAIRS, || {
-        grid.run_threads_cached(1, None).wall_seconds * 1e3
-    });
-
     // Warm memory replays the most recent cold pass's cache.
     let memory = RefCell::new(ResultCache::in_memory());
     grid_pass(&grid, Some(&memory.borrow()), cells);
-    let (warm, cold) = alternate(
-        GRID_PAIRS,
-        || grid_pass(&grid, Some(&memory.borrow()), 0),
-        || {
-            let fresh = ResultCache::in_memory();
-            let ms = grid_pass(&grid, Some(&fresh), cells);
-            *memory.borrow_mut() = fresh;
-            ms
-        },
-    );
-    ok &= Bound::Floor(WARM_MEMORY_FLOOR).check("grid18x5 cold / warm memory", &warm, &cold);
-
     // Warm disk: a fresh cache over a populated directory per pass, the
     // shape of a new process.
     let dir = std::env::temp_dir().join(format!("tdtm-gates-{}", std::process::id()));
@@ -220,13 +186,52 @@ fn main() {
         cache
     };
     grid_pass(&grid, Some(&disk()), cells);
-    let (warm, cold) = alternate(
-        GRID_PAIRS,
-        || grid_pass(&grid, Some(&disk()), 0),
-        || grid_pass(&grid, Some(&ResultCache::in_memory()), cells),
-    );
+
+    let ok = run_gates(vec![
+        normalized("sim_run_gcc_none", GCC_NONE_CEILING, PAIRS, || sim_run(&none, |_| {})),
+        normalized("sim_run_gcc_pid", GCC_PID_CEILING, PAIRS, || sim_run(&pid, |_| {})),
+        normalized("sim_run_gcc_leak", GCC_LEAK_CEILING, PAIRS, || sim_run(&leak, |_| {})),
+        normalized("sim_run_mc4_super", MC4_SUPER_CEILING, PAIRS, || chip_run(&mc4)),
+        Gate::new(
+            "sim_run_gcc_toggle noskip / skip",
+            PAIRS,
+            Bound::Floor(SKIP_FLOOR),
+            || sim_run(&toggle, |sim| sim.set_skip(true)),
+            || sim_run(&toggle, |sim| sim.set_skip(false)),
+        ),
+        Gate::new(
+            "sim_run_gcc_pid metrics_and_phases / off",
+            PAIRS,
+            Bound::Ceiling(TELEMETRY_CEILING),
+            || sim_run(&traced, |_| {}),
+            || sim_run(&traced, |sim| sim.enable_telemetry(&phases)),
+        ),
+        // One worker, like the reference: a second worker would make the
+        // ratio depend on how busy the host's other vCPU is.
+        normalized("grid18x5_cold, 1 worker", GRID_COLD_CEILING, GRID_PAIRS, || {
+            grid.run_threads_cached(1, None).wall_seconds * 1e3
+        }),
+        Gate::new(
+            "grid18x5 cold / warm memory",
+            GRID_PAIRS,
+            Bound::Floor(WARM_MEMORY_FLOOR),
+            || grid_pass(&grid, Some(&memory.borrow()), 0),
+            || {
+                let fresh = ResultCache::in_memory();
+                let ms = grid_pass(&grid, Some(&fresh), cells);
+                *memory.borrow_mut() = fresh;
+                ms
+            },
+        ),
+        Gate::new(
+            "grid18x5 cold / warm disk",
+            GRID_PAIRS,
+            Bound::Floor(WARM_DISK_FLOOR),
+            || grid_pass(&grid, Some(&disk()), 0),
+            || grid_pass(&grid, Some(&ResultCache::in_memory()), cells),
+        ),
+    ]);
     let _ = std::fs::remove_dir_all(&dir);
-    ok &= Bound::Floor(WARM_DISK_FLOOR).check("grid18x5 cold / warm disk", &warm, &cold);
 
     println!("gates: {:.1} s wall", start.elapsed().as_secs_f64());
     if !ok {

@@ -5,7 +5,6 @@
 use std::hint::black_box;
 
 use tdtm_bench::microbench::bench;
-use tdtm_telemetry::{Phase, PhaseProfile};
 use tdtm_thermal::block_model::{table3_blocks, BlockModel};
 use tdtm_thermal::network::RcNetwork;
 
@@ -15,14 +14,6 @@ fn main() {
 
     let mut exact = BlockModel::new(table3_blocks(), 103.0, dt);
     bench("block_model_step_exact_7_blocks", || exact.step(black_box(&powers)));
-
-    // The same step behind a telemetry phase timer: what
-    // `TelemetryConfig::metrics_and_phases` adds to every thermal step.
-    let mut timed = BlockModel::new(table3_blocks(), 103.0, dt);
-    let mut profile = PhaseProfile::new();
-    bench("block_model_step_exact_phase_timed", || {
-        profile.time(Phase::ThermalStep, || timed.step(black_box(&powers)))
-    });
 
     let mut euler = BlockModel::new(table3_blocks(), 103.0, dt);
     bench("block_model_step_euler_7_blocks", || euler.step_euler(black_box(&powers)));

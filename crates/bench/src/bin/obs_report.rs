@@ -15,9 +15,9 @@
 //! `--demo-grid PATH` first runs a small 2×2 grid (gcc, art × PID,
 //! stability-aware) with streaming enabled, writing the stream to PATH,
 //! then reports on it — a self-contained smoke of the whole
-//! collector → sink → reporter pipeline. The demo grid runs through the
-//! result cache `TDTM_CACHE` and `TDTM_CACHE_DIR` select (see
-//! `tdtm_bench::from_env`); its worker count is `--threads`.
+//! collector → sink → reporter pipeline. The demo grid runs on the
+//! `TDTM_THREADS` workers through the result cache `TDTM_CACHE` and
+//! `TDTM_CACHE_DIR` select (see `tdtm_bench::from_env`).
 
 use tdtm_core::experiments::ExperimentScale;
 use tdtm_core::report::{obs_dashboard, obs_dashboard_csv};
@@ -32,10 +32,9 @@ struct Args {
     csv: bool,
     demo_grid: Option<String>,
     demo_hot: bool,
-    threads: usize,
 }
 
-const USAGE: &str = "usage: obs_report [<stream.jsonl>] [<baseline.jsonl>] [--csv] [--demo-grid PATH] [--threads N]
+const USAGE: &str = "usage: obs_report [<stream.jsonl>] [<baseline.jsonl>] [--csv] [--demo-grid PATH]
 
   <stream.jsonl>    primary cell stream (run A)
   <baseline.jsonl>  optional baseline stream (run B); adds an A-vs-B section
@@ -45,15 +44,13 @@ const USAGE: &str = "usage: obs_report [<stream.jsonl>] [<baseline.jsonl>] [--cs
                     a positional stream is not needed in this mode
   --demo-hot        with --demo-grid: run the grid against a 107 C heatsink
                     (cell labels stay comparable to a nominal demo stream,
-                    so the two make a natural A-vs-B pair)
-  --threads N       worker threads for --demo-grid (default 1)";
+                    so the two make a natural A-vs-B pair)";
 
 fn parse_args() -> Result<Args, String> {
     let mut positional = Vec::new();
     let mut csv = false;
     let mut demo_grid = None;
     let mut demo_hot = false;
-    let mut threads = 1usize;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         let mut value = |flag: &str| -> Result<String, String> {
@@ -63,12 +60,6 @@ fn parse_args() -> Result<Args, String> {
             "--csv" => csv = true,
             "--demo-grid" => demo_grid = Some(value("--demo-grid")?),
             "--demo-hot" => demo_hot = true,
-            "--threads" => {
-                threads = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?;
-                if threads == 0 {
-                    return Err("--threads must be nonzero".into());
-                }
-            }
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
             other => positional.push(other.to_string()),
@@ -86,7 +77,7 @@ fn parse_args() -> Result<Args, String> {
     if demo_hot && demo_grid.is_none() {
         return Err("--demo-hot only makes sense with --demo-grid".into());
     }
-    Ok(Args { stream, baseline, csv, demo_grid, demo_hot, threads })
+    Ok(Args { stream, baseline, csv, demo_grid, demo_hot })
 }
 
 fn load_stream(path: &str) -> Vec<CellRecord> {
@@ -153,7 +144,8 @@ fn main() {
     };
 
     if let Some(path) = &args.demo_grid {
-        run_demo_grid(path, args.demo_hot, args.threads, tdtm_bench::from_env().cache());
+        let env = tdtm_bench::from_env();
+        run_demo_grid(path, args.demo_hot, env.threads, env.cache());
     }
     let primary = args
         .stream

@@ -9,10 +9,10 @@
 //! controller do at cycle 41 000?".
 //!
 //! With `--cores N` (and optionally `--supervisor`) the same trace runs
-//! on the lockstep multicore chip: every event carries its core id, the
-//! chip-level supervisor-cap and park decisions land in a separate chip
-//! ring, and the dump interleaves chip events ahead of the per-core
-//! rings.
+//! on the lockstep multicore chip instead of the single-core simulator.
+//! Both print the same shape: one summary per core, every event tagged
+//! with its core id, and the chip-level supervisor-cap and park
+//! decisions in a separate chip ring dumped ahead of the per-core rings.
 //!
 //! `TDTM_SKIP=0` turns idle-gap skipping off; the report and metrics are
 //! the same either way, only the skipped-window log goes empty.
@@ -23,7 +23,7 @@
 //! cargo run -p tdtm-bench --release --bin trace_run -- gcc pid --cores 4 --supervisor
 //! ```
 
-use tdtm_core::{MulticoreSim, Simulator};
+use tdtm_core::{Die, Machine, MulticoreSim, Simulator};
 use tdtm_dtm::{PolicyKind, SupervisorConfig};
 use tdtm_telemetry::{EventTrace, RegistrySnapshot, TelemetryConfig};
 use tdtm_workloads::{by_name, suite};
@@ -166,95 +166,73 @@ fn main() {
         }
     );
     let tcfg = TelemetryConfig::full(args.capacity, args.stride);
-
     if chip_path {
-        let mut sim = MulticoreSim::for_workload(cfg, &workload);
-        sim.set_skip(env.skip);
-        sim.enable_telemetry(&tcfg);
-        sim.record_skip_windows();
-        let report = sim.run();
-        let telemetry = sim.take_telemetry().expect("telemetry was enabled");
-
-        for (k, core) in report.cores.iter().enumerate() {
-            eprintln!(
-                "core {k}: {} cycles, {} committed (IPC {:.3}), emergency {:.2}%, stress {:.2}%",
-                core.total_cycles,
-                core.committed,
-                core.ipc,
-                100.0 * core.emergency_fraction(),
-                100.0 * core.stress_fraction()
-            );
-            if let Some(hot) = core.hottest_block() {
-                eprintln!("        hottest block: {} (max {:.2} C)", hot.name, hot.max_temp);
-            }
-        }
-        let (hot_core, hot_block, hot_temp) = report.hottest();
-        eprintln!(
-            "chip: {} lockstep cycles, peak {:.2} C ({} on core {hot_core}), {} supervisor interventions",
-            report.chip_cycles,
-            hot_temp,
-            report.cores[hot_core].blocks[hot_block].name,
-            report.supervisor_interventions
-        );
-
-        for (k, core) in telemetry.cores.iter().enumerate() {
-            if let Some(phases) = &core.phases {
-                eprintln!("\ncore {k} host-time phase profile (not deterministic):");
-                eprint!("{}", phases.render_table());
-            }
-        }
-        if let Some(snap) = telemetry.merged_metrics() {
-            print_metrics(&snap);
-        }
-
-        let mut traces: Vec<(String, &EventTrace)> = Vec::new();
-        if let Some(chip_events) = &telemetry.chip_events {
-            traces.push(("chip".into(), chip_events));
-        }
-        for (k, core) in telemetry.cores.iter().enumerate() {
-            if let Some(events) = &core.events {
-                traces.push((format!("core {k}"), events));
-            }
-        }
-        dump_events(&traces, args.csv, args.capacity);
-
-        dump_skip_windows(sim.skip_windows(), report.chip_cycles);
+        trace(MulticoreSim::for_workload(cfg, &workload), env.skip, &tcfg, &args);
     } else {
-        let mut sim = Simulator::for_workload(cfg, &workload);
-        sim.set_skip(env.skip);
-        sim.enable_telemetry(&tcfg);
-        sim.record_skip_windows();
-        let report = sim.run();
-        let telemetry = sim.take_telemetry().expect("telemetry was enabled");
+        trace(Simulator::for_workload(cfg, &workload), env.skip, &tcfg, &args);
+    }
+}
 
+/// Runs `sim` under full telemetry and prints the per-core summaries,
+/// the chip line, the phase profiles, the merged metrics, the event
+/// rings and the skipped windows.
+fn trace<D: Die>(mut sim: Machine<D>, skip: bool, tcfg: &TelemetryConfig, args: &Args) {
+    sim.set_skip(skip);
+    sim.enable_telemetry(tcfg);
+    sim.record_skip_windows();
+    let report = sim.run_chip();
+    let telemetry = sim.take_telemetry().expect("telemetry was enabled");
+
+    for (k, core) in report.cores.iter().enumerate() {
         eprintln!(
-            "run: {} cycles, {} committed (IPC {:.3}), avg power {:.1} W, avg chip temp {:.1} C",
-            report.total_cycles, report.committed, report.ipc, report.avg_power, report.avg_chip_temp
+            "core {k}: {} cycles, {} committed (IPC {:.3}), avg power {:.1} W, emergency {:.2}%, stress {:.2}%, {} DTM samples, {} engaged",
+            core.total_cycles,
+            core.committed,
+            core.ipc,
+            core.avg_power,
+            100.0 * core.emergency_fraction(),
+            100.0 * core.stress_fraction(),
+            core.samples,
+            core.engaged_samples
         );
-        eprintln!(
-            "     emergency {:.2}%, stress {:.2}%, {} DTM samples, {} engaged",
-            100.0 * report.emergency_fraction(),
-            100.0 * report.stress_fraction(),
-            report.samples,
-            report.engaged_samples
-        );
-        if let Some(hot) = report.hottest_block() {
-            eprintln!("     hottest block: {} (max {:.2} C, avg {:.2} C)", hot.name, hot.max_temp, hot.avg_temp);
+        if let Some(hot) = core.hottest_block() {
+            eprintln!(
+                "        hottest block: {} (max {:.2} C, avg {:.2} C)",
+                hot.name, hot.max_temp, hot.avg_temp
+            );
         }
+    }
+    let (hot_core, hot_block, hot_temp) = report.hottest();
+    eprintln!(
+        "chip: {} lockstep cycles, peak {:.2} C ({} on core {hot_core}), {} supervisor interventions",
+        report.chip_cycles,
+        hot_temp,
+        report.cores[hot_core].blocks[hot_block].name,
+        report.supervisor_interventions
+    );
 
-        if let Some(phases) = &telemetry.phases {
-            eprintln!("\nhost-time phase profile (not deterministic):");
+    for (k, core) in telemetry.cores.iter().enumerate() {
+        if let Some(phases) = &core.phases {
+            eprintln!("\ncore {k} host-time phase profile (not deterministic):");
             eprint!("{}", phases.render_table());
         }
-        if let Some(metrics) = &telemetry.metrics {
-            print_metrics(&metrics.snapshot());
-        }
-        if let Some(events) = &telemetry.events {
-            dump_events(&[("events".into(), events)], args.csv, args.capacity);
-        }
-
-        dump_skip_windows(sim.skip_windows(), report.total_cycles);
     }
+    if let Some(snap) = telemetry.merged_metrics() {
+        print_metrics(&snap);
+    }
+
+    let mut traces: Vec<(String, &EventTrace)> = Vec::new();
+    if let Some(chip_events) = &telemetry.chip_events {
+        traces.push(("chip".into(), chip_events));
+    }
+    for (k, core) in telemetry.cores.iter().enumerate() {
+        if let Some(events) = &core.events {
+            traces.push((format!("core {k}"), events));
+        }
+    }
+    dump_events(&traces, args.csv, args.capacity);
+
+    dump_skip_windows(sim.skip_windows(), report.chip_cycles);
 }
 
 /// Annotates the idle windows the run fast-forwarded (observed runs skip

@@ -19,7 +19,7 @@
 //!   ([`Env::scale`], default 1,000,000), for every binary that reads a
 //!   scale;
 //! * `TDTM_THREADS` — engine workers ([`Env::threads`]), for every binary
-//!   that runs an engine grid apart from `obs_report` (`--threads`);
+//!   that runs an engine grid;
 //! * `TDTM_CACHE` and `TDTM_CACHE_DIR` — the result cache
 //!   ([`Env::cache`]: `TDTM_CACHE=0` or `off` runs uncached, a
 //!   `TDTM_CACHE_DIR` adds the disk tier), for every binary that runs a

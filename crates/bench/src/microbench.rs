@@ -3,10 +3,12 @@
 //! - [`bench()`] times one closure over calibrated batches and prints its
 //!   best-of ns/op: the ungated paper micro rows (`thermal_step`,
 //!   `controller_sample`, `proxy_vs_rc`, `core_cycle`).
-//! - [`alternate`], [`Spread`] and [`Bound`] are the one regression
-//!   mechanism the `gates` target uses: an A/B pair timed alternately in
-//!   one process, gated on the median of its per-pair B/A ratios, so a
-//!   noisy host moves both sides together instead of failing the gate.
+//! - [`Gate`], [`run_gates`], [`Spread`] and [`Bound`] are the one
+//!   regression mechanism the `gates` target uses: A/B pairs timed
+//!   alternately in one process, the gates' pairs interleaved
+//!   round-robin, each gate checked on the median of its per-pair B/A
+//!   ratios, so a noisy host moves both sides together and a burst lands
+//!   on a few pairs of every gate instead of failing one gate.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -47,26 +49,71 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> f64 {
     best * 1e9
 }
 
-/// Calls `a` and `b` once each per pair, `pairs` times, flipping which
-/// goes first on every pair so drift on the host lands on both sides
-/// alike. Each call returns its own measurement (typically the ms
-/// it timed); the two sample vectors come back in pair order.
-pub fn alternate(
+/// One gate: an A/B pair of timed calls (each returns its own
+/// measurement, typically the ms it timed), how many pairs to time, and
+/// the bound on the median of the per-pair B/A ratios.
+pub struct Gate<'a> {
+    name: String,
     pairs: usize,
-    mut a: impl FnMut() -> f64,
-    mut b: impl FnMut() -> f64,
-) -> (Vec<f64>, Vec<f64>) {
-    let (mut xs, mut ys) = (Vec::with_capacity(pairs), Vec::with_capacity(pairs));
-    for pair in 0..pairs {
-        if pair % 2 == 0 {
-            xs.push(a());
-            ys.push(b());
-        } else {
-            ys.push(b());
-            xs.push(a());
+    bound: Bound,
+    a: Box<dyn FnMut() -> f64 + 'a>,
+    b: Box<dyn FnMut() -> f64 + 'a>,
+}
+
+impl<'a> Gate<'a> {
+    /// A gate `name` of `pairs` A/B pairs under `bound`.
+    pub fn new(
+        name: impl Into<String>,
+        pairs: usize,
+        bound: Bound,
+        a: impl FnMut() -> f64 + 'a,
+        b: impl FnMut() -> f64 + 'a,
+    ) -> Gate<'a> {
+        Gate { name: name.into(), pairs, bound, a: Box::new(a), b: Box::new(b) }
+    }
+}
+
+/// Times every gate's pairs round-robin (see [`run_gates`]) and returns
+/// each gate's A and B samples in pair order, gates in order.
+fn interleave(gates: &mut [Gate<'_>]) -> Vec<(Vec<f64>, Vec<f64>)> {
+    let rounds = gates.iter().map(|g| g.pairs).max().unwrap_or(0);
+    let mut samples: Vec<(Vec<f64>, Vec<f64>)> =
+        gates.iter().map(|g| (Vec::with_capacity(g.pairs), Vec::with_capacity(g.pairs))).collect();
+    for round in 0..rounds {
+        for (gate, (xs, ys)) in gates.iter_mut().zip(&mut samples) {
+            let pair = xs.len();
+            if pair == gate.pairs || (2 * pair + 1) * rounds / (2 * gate.pairs) != round {
+                continue;
+            }
+            if pair % 2 == 0 {
+                xs.push((gate.a)());
+                ys.push((gate.b)());
+            } else {
+                ys.push((gate.b)());
+                xs.push((gate.a)());
+            }
         }
     }
-    (xs, ys)
+    samples
+}
+
+/// Times the gates and checks every gate's bound, printing each; returns
+/// whether all of them passed.
+///
+/// The pairs run round-robin. The run is `R` rounds, `R` the largest
+/// pair count; a gate of `p` pairs times its pair `j` in round
+/// `⌊(2j + 1)·R / 2p⌋`, so every gate's pairs spread evenly across the
+/// whole run and a host burst of a few seconds lands on a few pairs of
+/// each gate instead of on every pair of one. Within a gate the side that
+/// goes first flips on every pair, so drift on the host lands on both
+/// sides alike.
+pub fn run_gates(mut gates: Vec<Gate<'_>>) -> bool {
+    let samples = interleave(&mut gates);
+    let mut ok = true;
+    for (gate, (a, b)) in gates.iter().zip(samples) {
+        ok &= gate.bound.check(&gate.name, &a, &b);
+    }
+    ok
 }
 
 /// The median and range of a sample.
@@ -142,22 +189,33 @@ mod tests {
         }) > 0.0);
     }
 
+    /// A gate whose A and B calls append `a` and `b` to `calls`.
+    fn logged<'a>(calls: &'a RefCell<String>, pairs: usize, a: char, b: char) -> Gate<'a> {
+        let side = move |c: char, x: f64| {
+            move || {
+                calls.borrow_mut().push(c);
+                x
+            }
+        };
+        Gate::new(format!("{a}{b}"), pairs, Bound::Ceiling(3.0), side(a, 1.0), side(b, 2.0))
+    }
+
     #[test]
     fn pairs_alternate_which_side_goes_first() {
         let calls = RefCell::new(String::new());
-        let (a, b) = alternate(
-            4,
-            || {
-                calls.borrow_mut().push('a');
-                1.0
-            },
-            || {
-                calls.borrow_mut().push('b');
-                2.0
-            },
-        );
+        let samples = interleave(&mut [logged(&calls, 4, 'a', 'b')]);
         assert_eq!(calls.into_inner(), "abbaabba");
-        assert_eq!((a, b), (vec![1.0; 4], vec![2.0; 4]));
+        assert_eq!(samples, vec![(vec![1.0; 4], vec![2.0; 4])]);
+    }
+
+    #[test]
+    fn gates_interleave_round_robin_and_spread_short_gates() {
+        let calls = RefCell::new(String::new());
+        let gates = vec![logged(&calls, 4, 'a', 'b'), logged(&calls, 2, 'c', 'd')];
+        assert!(run_gates(gates));
+        // Four rounds; the two-pair gate times its pairs in rounds 1 and 3:
+        // ab | ba cd | ab | ba dc.
+        assert_eq!(calls.into_inner(), "abbacdabbadc");
     }
 
     #[test]

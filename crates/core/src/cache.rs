@@ -162,9 +162,11 @@ pub fn cell_fingerprints(cells: &[GridCell]) -> Vec<Fingerprint> {
 /// configuration (streamed records embed a metric snapshot, so the same
 /// cell under different telemetry is a different artifact), under its
 /// own domain tag so plain-run and streamed artifacts can never alias.
+/// The tag's version moves whenever a record's contents do (v2: a
+/// single-core run counts its core's park in `core_parks`).
 pub fn stream_fingerprint(cell: Fingerprint, cfg: &TelemetryConfig) -> Fingerprint {
     let mut h = Fnv128::new();
-    h.write(b"tdtm/stream/v1\0");
+    h.write(b"tdtm/stream/v2\0");
     h.write_u128(cell.0);
     let _ = write!(h, "{cfg:?}");
     Fingerprint(h.finish())
@@ -399,10 +401,10 @@ pub enum Claim<'a> {
         /// Whether this claim blocked on an in-flight computation.
         waited: bool,
     },
-    /// This caller owns computing the fingerprint: run the simulation
-    /// and [`complete`](ClaimGuard::complete) the guard. Dropping the
-    /// guard without completing (e.g. on panic) releases the claim so
-    /// waiters can re-claim and compute themselves.
+    /// This caller owns computing the fingerprint: run the simulation,
+    /// [`publish`](ResultCache::publish) the artifact, then drop the
+    /// guard. Dropping it without publishing (e.g. on panic) releases the
+    /// claim so waiters can re-claim and compute themselves.
     Miss(ClaimGuard<'a>),
 }
 
@@ -410,20 +412,6 @@ pub enum Claim<'a> {
 pub struct ClaimGuard<'a> {
     cache: &'a ResultCache,
     fp: Fingerprint,
-}
-
-impl ClaimGuard<'_> {
-    /// The claimed fingerprint.
-    pub fn fingerprint(&self) -> Fingerprint {
-        self.fp
-    }
-
-    /// Publishes the computed artifact and wakes all waiters.
-    pub fn complete(self, artifact: CellArtifact) -> Arc<CellArtifact> {
-        self.cache.publish(self.fp, artifact)
-        // The Drop impl then finds the fingerprint already cleared from
-        // the in-flight set and does nothing.
-    }
 }
 
 impl Drop for ClaimGuard<'_> {
@@ -772,9 +760,8 @@ mod tests {
         let fp = Fingerprint(42);
         let artifact = CellArtifact { report: sample_report(), record: None };
         match cache.claim(fp) {
-            Claim::Miss(guard) => {
-                assert_eq!(guard.fingerprint(), fp);
-                guard.complete(artifact.clone());
+            Claim::Miss(_guard) => {
+                cache.publish(fp, artifact.clone());
             }
             Claim::Hit { .. } => panic!("empty cache cannot hit"),
         }
@@ -800,7 +787,7 @@ mod tests {
         let Claim::Miss(guard) = cache.claim(fp) else { panic!("first claim misses") };
         drop(guard); // abandoned (e.g. worker panic)
         match cache.claim(fp) {
-            Claim::Miss(guard) => guard.complete(CellArtifact {
+            Claim::Miss(_guard) => cache.publish(fp, CellArtifact {
                 report: sample_report(),
                 record: None,
             }),
@@ -824,7 +811,8 @@ mod tests {
             });
             // Give the waiter time to block, then publish.
             std::thread::sleep(std::time::Duration::from_millis(20));
-            guard.complete(CellArtifact { report: sample_report(), record: None });
+            cache.publish(fp, CellArtifact { report: sample_report(), record: None });
+            drop(guard);
             assert_eq!(waiter.join().expect("waiter"), sample_report().committed);
         });
         let stats = cache.stats();
@@ -875,9 +863,9 @@ mod tests {
             std::fs::write(&entry, &contents).expect("write corrupt entry");
             let cache = ResultCache::with_disk(&dir);
             match cache.claim(fp) {
-                Claim::Miss(guard) => {
+                Claim::Miss(_guard) => {
                     // Recompute-and-overwrite: publishing repairs the entry.
-                    guard.complete(good.clone());
+                    cache.publish(fp, good.clone());
                 }
                 Claim::Hit { .. } => panic!("{name}: corrupt entry served as a hit"),
             }
@@ -895,8 +883,8 @@ mod tests {
         let cache = ResultCache::with_disk(blocker.join("sub"));
         assert!(!cache.has_disk_tier(), "must degrade to memory-only");
         let fp = Fingerprint(5);
-        let Claim::Miss(guard) = cache.claim(fp) else { panic!("cold claim misses") };
-        guard.complete(CellArtifact { report: sample_report(), record: None });
+        let Claim::Miss(_guard) = cache.claim(fp) else { panic!("cold claim misses") };
+        cache.publish(fp, CellArtifact { report: sample_report(), record: None });
         assert!(matches!(cache.claim(fp), Claim::Hit { .. }), "memory tier still works");
         let _ = std::fs::remove_file(&blocker);
     }

@@ -1,28 +1,30 @@
-//! The one production cycle loop, shared by the single-core
-//! [`Simulator`] and the chip's [`MulticoreSim`]: core → power → thermal
-//! step → (every sampling interval) DTM, for N cores in lockstep over one
-//! thermal die.
+//! The one production cycle loop of the simulator front end
+//! [`Machine`]: core → power → thermal step → (every sampling interval)
+//! DTM, for N cores in lockstep over one thermal die.
 //!
-//! The loop is generic over the die ([`Die`]: a plain [`BlockModel`] or
-//! the coupled [`CoupledChip`]) and over an [`Observer`]. The zero-sized
+//! The loop is generic over the die ([`Die`]: a plain [`BlockModel`] on
+//! the single-core face [`Simulator`], the coupled [`CoupledChip`] on the
+//! chip face [`MulticoreSim`]) and over an [`Observer`]. The zero-sized
 //! [`NoObserver`] compiles every hook away, so an unobserved run pays
-//! nothing for observation; telemetry, proxies and traces are observers,
-//! not a second loop body. A single-core run is the N = 1 case: one
-//! [`CoreSlot`], no supervisor.
+//! nothing for observation; telemetry, proxies and traces are one
+//! observer, not a second loop body. A single-core run is the N = 1
+//! case: one [`CoreSlot`], no supervisor.
 //!
 //! The loop runs in chunks that end on the next DTM-sample boundary (or
 //! on the cycle an interrupt-delayed command applies), so boundaries are
 //! handled once per chunk instead of tested every cycle. DTM samples fire
 //! on cycles where `(cycle + 1) % interval == 0` — the last cycle of each
 //! interval-aligned chunk. Stop conditions are still checked every cycle;
-//! a mid-chunk stop skips the boundary sample.
+//! a mid-chunk stop skips the boundary sample. The loop reads no host
+//! clock: the only host-time observation is the pipeline's own stage
+//! timers.
 //!
 //! Idle-gap skipping: when every active core is provably idle for k
 //! cycles — V/f-resync stalled, fetch gated shut, or drained against a
 //! known wake cycle; parked cores are idle by definition — every core
 //! draws the bitwise-same idle power each cycle, so the loop stages those
 //! powers once, advances the pipelines wholesale, and folds the k cycles
-//! with [`Die::step_gap`]. Counted cycles and observer hooks still see
+//! with the die's gap step. Counted cycles and observer hooks still see
 //! every cycle of the gap, so reports and observations are byte-identical
 //! with the non-skipping loop.
 //!
@@ -30,22 +32,19 @@
 //! [`MulticoreSim`]: crate::MulticoreSim
 
 use crate::config::SimConfig;
-use crate::metrics::BlockMetrics;
-use crate::metrics::RunReport;
-use crate::simulator::{
-    RunAccum, SkipReason, SkipWindow, TelemetryState, MIN_SKIP_WINDOW, NUM_THERMAL,
-};
+use crate::metrics::{BlockMetrics, RunReport};
+use crate::replay::NUM_THERMAL;
+use crate::simulator::{Machine, RunAccum, SkipReason, SkipWindow, MIN_SKIP_WINDOW};
+use crate::telemetry::TelemetryState;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 use tdtm_dtm::{
     build_policy_at, ChipSupervisor, DtmCommand, DtmConfig, DtmPolicy, SensorModel,
     TriggerMechanism,
 };
 use tdtm_isa::Program;
 use tdtm_power::{LeakageModel, PowerModel, PowerSample};
-use tdtm_telemetry::Phase;
-use tdtm_thermal::{BlockModel, BlockParams, CoupledChip};
+use tdtm_thermal::{BlockModel, BlockParams, CoupledChip, MulticoreFloorplan};
 use tdtm_uarch::activity::THERMAL_BLOCKS;
 use tdtm_uarch::{Activity, Core, CoreControl, IdleKind};
 
@@ -312,88 +311,150 @@ pub(crate) fn leakage_peaks(power: &PowerModel) -> [f64; NUM_THERMAL] {
     std::array::from_fn(|i| power.peak(THERMAL_BLOCKS[i]))
 }
 
-/// The thermal die the loop steps: one block model, or the coupled chip.
-pub(crate) trait Die {
-    /// Core `k`'s block temperatures.
-    fn temps(&self, k: usize) -> &[f64; NUM_THERMAL];
-    /// Core `k`'s block model (warm start, V/f retiming).
-    fn model_mut(&mut self, k: usize) -> &mut BlockModel;
-    /// One step of every active core under its staged powers.
-    fn step(&mut self, powers: &[[f64; NUM_THERMAL]], active: &[bool]);
-    /// `cycles` steps under constant staged powers: the idle-gap fold.
-    /// With `observed`, calls `observe(k, temps)` for every active core
-    /// after every step.
-    fn step_gap(
-        &mut self,
-        powers: &[[f64; NUM_THERMAL]],
-        active: &[bool],
-        cycles: u64,
-        observed: bool,
-        observe: impl FnMut(usize, &[f64; NUM_THERMAL]),
-    );
-}
+/// The thermal die a [`Machine`] steps: a plain [`BlockModel`] under one
+/// core ([`Simulator`](crate::Simulator)) or the [`CoupledChip`] under N
+/// ([`MulticoreSim`](crate::MulticoreSim)). Sealed: those two are its
+/// only implementations.
+pub trait Die: sealed::DieOps {}
 
-impl Die for BlockModel {
-    fn temps(&self, _k: usize) -> &[f64; NUM_THERMAL] {
-        self.temperatures_fixed()
+impl Die for BlockModel {}
+impl Die for CoupledChip {}
+
+pub(crate) mod sealed {
+    use super::*;
+
+    /// What the front end and the cycle loop need of a die.
+    pub trait DieOps: Sized {
+        /// The die `cfg` describes, with its chip-level supervisor.
+        fn build(cfg: &SimConfig) -> (Self, Option<ChipSupervisor>);
+        /// Number of cores on the die.
+        fn cores(&self) -> usize;
+        /// Whether any inter-core coupling edges are present.
+        fn coupled(&self) -> bool;
+        /// Core `k`'s block model.
+        fn model(&self, k: usize) -> &BlockModel;
+        /// Core `k`'s block model (warm start, V/f retiming).
+        fn model_mut(&mut self, k: usize) -> &mut BlockModel;
+        /// Core `k`'s block temperatures.
+        fn temps(&self, k: usize) -> &[f64; NUM_THERMAL] {
+            self.model(k).temperatures_fixed()
+        }
+        /// One step of every active core under its staged powers.
+        fn step(&mut self, powers: &[[f64; NUM_THERMAL]], active: &[bool]);
+        /// `cycles` steps under constant staged powers: the idle-gap fold.
+        /// With `observed`, calls `observe(k, temps)` for every active core
+        /// after every step.
+        fn step_gap(
+            &mut self,
+            powers: &[[f64; NUM_THERMAL]],
+            active: &[bool],
+            cycles: u64,
+            observed: bool,
+            observe: impl FnMut(usize, &[f64; NUM_THERMAL]),
+        );
     }
 
-    fn model_mut(&mut self, _k: usize) -> &mut BlockModel {
-        self
-    }
+    /// One core; the single-core face ignores `cfg.chip`.
+    impl DieOps for BlockModel {
+        fn build(cfg: &SimConfig) -> (Self, Option<ChipSupervisor>) {
+            let model = BlockModel::new(cfg.blocks.clone(), cfg.heatsink_temp, cfg.cycle_time());
+            (model, None)
+        }
 
-    fn step(&mut self, powers: &[[f64; NUM_THERMAL]], _active: &[bool]) {
-        self.step_fixed(&powers[0]);
-    }
+        fn cores(&self) -> usize {
+            1
+        }
 
-    /// The exact constant-power fold: the per-cycle recurrence in the
-    /// one-step order with the steady states hoisted, bit-identical to
-    /// `cycles` single steps.
-    fn step_gap(
-        &mut self,
-        powers: &[[f64; NUM_THERMAL]],
-        _active: &[bool],
-        cycles: u64,
-        observed: bool,
-        mut observe: impl FnMut(usize, &[f64; NUM_THERMAL]),
-    ) {
-        if observed {
-            self.step_gap_observed(&powers[0], cycles, |temps| observe(0, temps));
-        } else {
-            self.step_gap_fixed(&powers[0], cycles);
+        fn coupled(&self) -> bool {
+            false
+        }
+
+        fn model(&self, _k: usize) -> &BlockModel {
+            self
+        }
+
+        fn model_mut(&mut self, _k: usize) -> &mut BlockModel {
+            self
+        }
+
+        fn step(&mut self, powers: &[[f64; NUM_THERMAL]], _active: &[bool]) {
+            self.step_fixed(&powers[0]);
+        }
+
+        /// The exact constant-power fold: the per-cycle recurrence in the
+        /// one-step order with the steady states hoisted, bit-identical to
+        /// `cycles` single steps.
+        fn step_gap(
+            &mut self,
+            powers: &[[f64; NUM_THERMAL]],
+            _active: &[bool],
+            cycles: u64,
+            observed: bool,
+            mut observe: impl FnMut(usize, &[f64; NUM_THERMAL]),
+        ) {
+            if observed {
+                self.step_gap_observed(&powers[0], cycles, |temps| observe(0, temps));
+            } else {
+                self.step_gap_fixed(&powers[0], cycles);
+            }
         }
     }
-}
 
-impl Die for CoupledChip {
-    fn temps(&self, k: usize) -> &[f64; NUM_THERMAL] {
-        self.core_models()[k].temperatures_fixed()
-    }
+    /// `cfg.chip.cores` coupled cores under the optional supervisor.
+    impl DieOps for CoupledChip {
+        /// # Panics
+        ///
+        /// Panics if `cfg.chip.cores` is zero.
+        fn build(cfg: &SimConfig) -> (Self, Option<ChipSupervisor>) {
+            let n = cfg.chip.cores;
+            assert!(n > 0, "need at least one core");
+            let chip = MulticoreFloorplan::with_blocks(n, cfg.blocks.clone())
+                .coupling(cfg.chip.coupling)
+                .heterogeneity(cfg.chip.heterogeneity)
+                .build_chip(cfg.heatsink_temp, cfg.cycle_time());
+            (
+                chip,
+                cfg.chip.supervisor.map(|sc| ChipSupervisor::new(sc, n)),
+            )
+        }
 
-    fn model_mut(&mut self, k: usize) -> &mut BlockModel {
-        self.core_mut(k)
-    }
+        fn cores(&self) -> usize {
+            self.core_models().len()
+        }
 
-    fn step(&mut self, powers: &[[f64; NUM_THERMAL]], active: &[bool]) {
-        self.step_masked(powers, active);
-    }
+        fn coupled(&self) -> bool {
+            !self.edges().is_empty()
+        }
 
-    /// Inter-core flows change every cycle, so the coupled gap steps the
-    /// chip once per cycle; only the pipelines and the power model are
-    /// elided.
-    fn step_gap(
-        &mut self,
-        powers: &[[f64; NUM_THERMAL]],
-        active: &[bool],
-        cycles: u64,
-        observed: bool,
-        mut observe: impl FnMut(usize, &[f64; NUM_THERMAL]),
-    ) {
-        for _ in 0..cycles {
+        fn model(&self, k: usize) -> &BlockModel {
+            &self.core_models()[k]
+        }
+
+        fn model_mut(&mut self, k: usize) -> &mut BlockModel {
+            self.core_mut(k)
+        }
+
+        fn step(&mut self, powers: &[[f64; NUM_THERMAL]], active: &[bool]) {
             self.step_masked(powers, active);
-            if observed {
-                for k in (0..active.len()).filter(|&k| active[k]) {
-                    observe(k, self.temps(k));
+        }
+
+        /// Inter-core flows change every cycle, so the coupled gap steps the
+        /// chip once per cycle; only the pipelines and the power model are
+        /// elided.
+        fn step_gap(
+            &mut self,
+            powers: &[[f64; NUM_THERMAL]],
+            active: &[bool],
+            cycles: u64,
+            observed: bool,
+            mut observe: impl FnMut(usize, &[f64; NUM_THERMAL]),
+        ) {
+            for _ in 0..cycles {
+                self.step_masked(powers, active);
+                if observed {
+                    for k in (0..active.len()).filter(|&k| active[k]) {
+                        observe(k, self.temps(k));
+                    }
                 }
             }
         }
@@ -432,14 +493,6 @@ pub(crate) trait Observer {
     /// Called after every cycle of every active core.
     fn cycle(&mut self, _k: usize, _view: &CycleView) {}
 
-    /// Starts a host-time phase timer (when phase profiling is on).
-    fn timer(&self) -> Option<Instant> {
-        None
-    }
-
-    /// Charges the time since `start` and `calls` calls to `phase`.
-    fn lap(&mut self, _phase: Phase, _start: Option<Instant>, _calls: u64) {}
-
     /// Core `k` parked on chip cycle `cycle`.
     fn park(&mut self, _k: usize, _cycle: u64) {}
 
@@ -455,23 +508,7 @@ impl Observer for NoObserver {
     const PER_CYCLE: bool = false;
 }
 
-/// One run's borrowed machine: configuration, power model, die, and
-/// cores, plus the chip-level supervisor (none on a single core).
-pub(crate) struct Machine<'a, D: Die> {
-    pub(crate) cfg: &'a SimConfig,
-    pub(crate) power: &'a PowerModel,
-    pub(crate) die: &'a mut D,
-    pub(crate) slots: &'a mut [CoreSlot],
-    pub(crate) supervisor: Option<&'a mut ChipSupervisor>,
-    /// The lockstep clock; every active core's `acc.cycle` equals it.
-    pub(crate) clock: &'a mut u64,
-    /// Fast-forwards provably idle gaps.
-    pub(crate) skip: bool,
-    /// Where to log skipped gaps, when logging is on.
-    pub(crate) log: Option<&'a mut Vec<SkipWindow>>,
-}
-
-impl<D: Die> Machine<'_, D> {
+impl<D: Die> Machine<D> {
     /// Runs every core to its stop condition. Each cycle: (0) every
     /// active core checks its stop conditions and parks on one; (1) every
     /// active core executes one pipeline cycle and stages its scaled
@@ -485,17 +522,19 @@ impl<D: Die> Machine<'_, D> {
     /// A parked core stops cycling, stepping and counting; its block
     /// temperatures freeze, still visible to coupled neighbors. The run
     /// ends when every core has parked.
-    pub(crate) fn run<O: Observer>(self, obs: &mut O) {
+    pub(crate) fn cycle_loop<O: Observer>(&mut self, obs: &mut O) {
         let Machine {
             cfg,
             power,
             die,
             slots,
-            mut supervisor,
+            supervisor,
             clock,
             skip,
-            mut log,
+            skip_log: log,
+            ..
         } = self;
+        let (cfg, power, skip) = (&*cfg, &**power, *skip);
         let interval = cfg.dtm.sample_interval.max(1);
         let nominal_dt = cfg.cycle_time();
         let idle = power.cycle_power(&Activity::new());
@@ -542,17 +581,15 @@ impl<D: Die> Machine<'_, D> {
                     // The gap never crosses the warmup boundary, and every
                     // active core's cycle is the clock.
                     let observed = O::PER_CYCLE || *clock >= cfg.thermal_warmup_cycles;
-                    let start = obs.timer();
                     die.step_gap(&powers, &active, len, observed, |k, temps| {
                         slots[k].close_cycle(k, obs, cfg, temps, &powers[k], totals[k]);
                     });
-                    obs.lap(Phase::ThermalStep, start, len);
                     if !observed {
                         for slot in slots.iter_mut().filter(|s| !s.parked) {
                             slot.acc.cycle += len;
                         }
                     }
-                    if let Some(log) = log.as_deref_mut() {
+                    if let Some(log) = log.as_mut() {
                         log.push(SkipWindow {
                             start: *clock,
                             end: *clock + len,
@@ -569,17 +606,11 @@ impl<D: Die> Machine<'_, D> {
                         slot.resync_remaining -= 1;
                         idle
                     } else {
-                        let activity = slot.core.cycle();
-                        let start = obs.timer();
-                        let sample = power.cycle_power(activity);
-                        obs.lap(Phase::Power, start, 1);
-                        sample
+                        power.cycle_power(slot.core.cycle())
                     };
                     totals[k] = slot.stage(&sample, leak.as_ref(), die.temps(k), &mut powers[k]);
                 }
-                let start = obs.timer();
                 die.step(&powers, &active);
-                obs.lap(Phase::ThermalStep, start, 1);
                 for (k, slot) in slots.iter_mut().enumerate().filter(|(_, s)| !s.parked) {
                     slot.warm_up(die.model_mut(k), &powers[k], cfg);
                     slot.close_cycle(k, obs, cfg, die.temps(k), &powers[k], totals[k]);
@@ -592,7 +623,6 @@ impl<D: Die> Machine<'_, D> {
             // an interval; events stamp this cycle.
             let last = *clock - 1;
             if clock.is_multiple_of(interval) {
-                let start = obs.timer();
                 for (k, slot) in slots.iter_mut().enumerate() {
                     hottest[k] = f64::NEG_INFINITY;
                     if slot.parked {
@@ -615,7 +645,7 @@ impl<D: Die> Machine<'_, D> {
                     slot.acc.samples += 1;
                     cmds[k] = Some(cmd);
                 }
-                if let Some(sup) = supervisor.as_deref_mut() {
+                if let Some(sup) = supervisor.as_mut() {
                     let caps = sup.allocate_observed(&hottest, &mut |k, hot, cap| {
                         obs.supervisor_cap(last, k, hot, cap);
                     });
@@ -642,7 +672,6 @@ impl<D: Die> Machine<'_, D> {
                         }
                     }
                 }
-                obs.lap(Phase::Controller, start, 1);
             }
             for (k, slot) in slots.iter_mut().enumerate() {
                 while let Some(&(_, cmd)) = slot.pending.front().filter(|&&(at, _)| at <= last) {

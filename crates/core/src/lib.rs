@@ -8,10 +8,11 @@
 //! with the DTM policy sampling the (idealized) sensors every 1000 cycles
 //! and driving the fetch-toggling actuator.
 //!
-//! * [`SimConfig`] / [`Simulator`] — one benchmark run;
-//! * [`multicore`] — the N-core chip: [`MulticoreSim`] runs replicated
-//!   cores in lockstep over the coupled thermal kernel, with per-core DTM
-//!   under an optional chip-level supervisor;
+//! * [`SimConfig`] / [`Machine`] — one benchmark run: the one simulator
+//!   type, whose single-core face is [`Simulator`];
+//! * [`multicore`] — the N-core chip: [`MulticoreSim`], the chip face,
+//!   runs replicated cores in lockstep over the coupled thermal kernel,
+//!   with per-core DTM under an optional chip-level supervisor;
 //! * [`metrics`] — the paper's success metrics (% cycles in thermal
 //!   emergency, % of non-DTM IPC, per-structure temperatures);
 //! * [`experiments`] — drivers that regenerate each of the paper's tables
@@ -59,5 +60,7 @@ pub use cache::{CacheStats, CellArtifact, Fingerprint, ResultCache};
 pub use config::{ChipConfig, SimConfig};
 pub use engine::{ExperimentGrid, GridResults, RunResult};
 pub use metrics::{BlockMetrics, RunReport};
-pub use multicore::{ChipReport, ChipTelemetry, MulticoreSim};
-pub use simulator::{Simulator, SkipReason, SkipWindow};
+pub use cycle::Die;
+pub use multicore::{ChipReport, MulticoreSim};
+pub use simulator::{Machine, Simulator, SkipReason, SkipWindow};
+pub use telemetry::ChipTelemetry;

@@ -1,18 +1,19 @@
-//! The multicore chip simulator: N replicated cores over a thermally
-//! coupled die, under hierarchical DTM.
+//! The multicore chip: N replicated cores over a thermally coupled die,
+//! under hierarchical DTM.
 //!
-//! [`MulticoreSim`] runs `cfg.chip.cores` copies of the single-core
+//! [`MulticoreSim`] is the chip face of the one simulator type
+//! [`Machine`]: it runs `cfg.chip.cores` copies of the single-core
 //! machine in chip-cycle lockstep. The thermal side is the bit-tested
 //! coupled kernel ([`CoupledChip`]): per-core exact-decay block models
 //! joined block-by-block through tangential resistances, with inter-core
 //! flows evaluated from pre-step temperatures once per cycle. The DTM
 //! side is two-level: each core keeps its own sensors, policy, and
-//! actuators (fetch toggling and V/f scaling, exactly the single-core
-//! mechanisms), and an optional chip-level [`ChipSupervisor`] redistributes
-//! the shared thermal budget each sampling interval by capping hot cores'
-//! duty ceilings.
+//! actuators (fetch toggling and V/f scaling, directly or after an
+//! interrupt delay, exactly the single-core mechanisms), and an optional
+//! chip-level [`ChipSupervisor`] redistributes the shared thermal budget
+//! each sampling interval by capping hot cores' duty ceilings.
 //!
-//! The chip and the single-core [`Simulator`] run one and the same cycle
+//! The chip and the single-core [`Simulator`] are one type over one cycle
 //! loop, generic over the thermal die; the single core is its N = 1 case.
 //! So the degenerate cases are exact by construction:
 //!
@@ -29,96 +30,17 @@
 //! neighbors as a thermal boundary condition — until every core is parked
 //! and the chip stops. Parked cores report `-inf` to the supervisor and
 //! take no further DTM samples.
-//!
-//! The chip supports the direct trigger mechanism only (the single-core
-//! simulator keeps the interrupt-delay model).
 
 use crate::config::SimConfig;
-use crate::cycle::{CoreSlot, CycleView, Machine, NoObserver, Observer};
+use crate::cycle::Die;
 use crate::metrics::RunReport;
-use crate::simulator::{Simulator, SkipWindow, TelemetryState};
+use crate::simulator::{Machine, Simulator};
 use std::sync::Arc;
-use tdtm_dtm::{ChipSupervisor, TriggerMechanism};
-use tdtm_isa::Program;
+use tdtm_dtm::ChipSupervisor;
 use tdtm_power::PowerModel;
-use tdtm_telemetry::{Event, EventTrace, RegistrySnapshot, Telemetry, TelemetryConfig};
-use tdtm_thermal::{CoupledChip, MulticoreFloorplan};
+use tdtm_telemetry::{RegistrySnapshot, TelemetryConfig};
+use tdtm_thermal::CoupledChip;
 use tdtm_workloads::Workload;
-
-/// The collected telemetry of one chip run: one per-core [`Telemetry`]
-/// (events tagged with the core id, one metrics registry per core, stage
-/// phase timers) plus a chip-level event ring for the hierarchy's own
-/// decisions ([`Event::SupervisorCap`], [`Event::Park`]).
-///
-/// [`Event::SupervisorCap`]: tdtm_telemetry::Event::SupervisorCap
-/// [`Event::Park`]: tdtm_telemetry::Event::Park
-#[derive(Debug, Default)]
-pub struct ChipTelemetry {
-    /// Per-core collections, in core order.
-    pub cores: Vec<Telemetry>,
-    /// Supervisor cap decisions and park transitions, chip-wide, if the
-    /// event trace was enabled.
-    pub chip_events: Option<EventTrace>,
-}
-
-impl ChipTelemetry {
-    /// Merges the per-core metric snapshots in core order (all cores
-    /// share the simulator schema, so the merge is well-defined). `None`
-    /// when metrics collection was off.
-    pub fn merged_metrics(&self) -> Option<RegistrySnapshot> {
-        let mut merged: Option<RegistrySnapshot> = None;
-        for t in &self.cores {
-            let snap = t.metrics.as_ref()?.snapshot();
-            match &mut merged {
-                None => merged = Some(snap),
-                Some(m) => m.merge_from(&snap),
-            }
-        }
-        merged
-    }
-}
-
-/// In-flight chip telemetry, the chip's observer: one per-core collector
-/// plus the chip-level event ring. Purely observational — ChipReports are
-/// byte-identical with it attached or not (pinned by
-/// `tests/observability.rs`).
-struct ChipTelemetryState {
-    cores: Vec<TelemetryState>,
-    chip_events: Option<EventTrace>,
-}
-
-impl Observer for ChipTelemetryState {
-    fn telemetry(&mut self, k: usize) -> Option<&mut TelemetryState> {
-        self.cores.get_mut(k)
-    }
-
-    fn cycle(&mut self, k: usize, c: &CycleView) {
-        self.cores[k].observe_cycle(c.cycle, c.temps, c.emergency);
-    }
-
-    fn park(&mut self, k: usize, cycle: u64) {
-        self.cores[k].park_transitions += 1;
-        if let Some(ring) = &mut self.chip_events {
-            ring.record(Event::Park {
-                cycle,
-                core: k,
-                parked: true,
-            });
-        }
-    }
-
-    fn supervisor_cap(&mut self, cycle: u64, k: usize, hottest: f64, cap: f64) {
-        self.cores[k].supervisor_caps += 1;
-        if let Some(ring) = &mut self.chip_events {
-            ring.record(Event::SupervisorCap {
-                cycle,
-                core: k,
-                hottest,
-                cap,
-            });
-        }
-    }
-}
 
 /// Results of one chip run: per-core reports plus chip-level counters.
 #[derive(Clone, PartialEq, Debug)]
@@ -155,200 +77,14 @@ impl ChipReport {
     }
 }
 
-/// A full simulation of one program on an N-core chip.
-///
-/// All cores run the same program (each on its own pipeline), which makes
-/// the cross-core-interference scenarios deterministic: differences
-/// between cores come only from DTM throttling, heterogeneity, and
-/// thermal coupling, never from workload skew.
-pub struct MulticoreSim {
-    cfg: SimConfig,
-    chip: CoupledChip,
-    slots: Vec<CoreSlot>,
-    supervisor: Option<ChipSupervisor>,
-    power: Arc<PowerModel>,
-    chip_cycles: u64,
-    /// Telemetry to collect on the next [`run`](MulticoreSim::run).
-    telemetry: Option<ChipTelemetryState>,
-    /// Collected telemetry of the last run.
-    collected: Option<ChipTelemetry>,
-    /// Fast-forwards chip-level gaps in which every active core is
-    /// provably idle (see [`set_skip`](MulticoreSim::set_skip); on by
-    /// default).
-    skip: bool,
-    /// Records one [`SkipWindow`] per chip-level gap when enabled.
-    log_skip_windows: bool,
-    /// The skip-window log of the last run (when enabled).
-    skip_windows: Vec<SkipWindow>,
-}
+/// The chip face of [`Machine`]: one program on each of `cfg.chip.cores`
+/// cores over the coupled die, under the optional supervisor.
+pub type MulticoreSim = Machine<CoupledChip>;
 
-impl MulticoreSim {
-    /// Builds a chip simulator over an arbitrary program (no warmup
-    /// skip).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.chip.cores` is zero or the DTM trigger mechanism is
-    /// not [`TriggerMechanism::Direct`].
-    pub fn new(cfg: SimConfig, program: Program) -> MulticoreSim {
-        let name = program.name.clone();
-        MulticoreSim::build(cfg, Arc::new(program), &name, 0, None)
-    }
-
-    /// Builds a chip simulator for a suite workload, honoring its
-    /// functional warmup skip on every core.
-    pub fn for_workload(cfg: SimConfig, workload: &Workload) -> MulticoreSim {
-        MulticoreSim::build(
-            cfg,
-            workload.program_shared(),
-            workload.name,
-            workload.warmup_insts,
-            None,
-        )
-    }
-
-    /// [`for_workload`](MulticoreSim::for_workload) with a prebuilt,
-    /// shared power model (one model serves every core — all cores share
-    /// `cfg.power`/`cfg.core`).
-    pub fn for_workload_with_power(
-        cfg: SimConfig,
-        workload: &Workload,
-        power: Arc<PowerModel>,
-    ) -> MulticoreSim {
-        MulticoreSim::build(
-            cfg,
-            workload.program_shared(),
-            workload.name,
-            workload.warmup_insts,
-            Some(power),
-        )
-    }
-
-    fn build(
-        cfg: SimConfig,
-        program: Arc<Program>,
-        name: &str,
-        skip: u64,
-        power: Option<Arc<PowerModel>>,
-    ) -> MulticoreSim {
-        let n = cfg.chip.cores;
-        assert!(n > 0, "need at least one core");
-        assert!(
-            matches!(cfg.dtm.mechanism, TriggerMechanism::Direct),
-            "the multicore simulator supports direct triggering only"
-        );
-        let power = power.unwrap_or_else(|| Arc::new(PowerModel::new(&cfg.power, &cfg.core)));
-        let chip = MulticoreFloorplan::with_blocks(n, cfg.blocks.clone())
-            .coupling(cfg.chip.coupling)
-            .heterogeneity(cfg.chip.heterogeneity)
-            .build_chip(cfg.heatsink_temp, cfg.cycle_time());
-        let slots = (0..n)
-            .map(|k| {
-                let mut dtm = cfg.dtm;
-                if k > 0 {
-                    if let Some(p) = cfg.chip.neighbor_policy {
-                        dtm.policy = p;
-                    }
-                }
-                let name = if k == 0 {
-                    name.to_string()
-                } else {
-                    format!("{name}#{k}")
-                };
-                CoreSlot::new(&cfg, dtm, program.clone(), skip, name)
-            })
-            .collect();
-        let supervisor = cfg.chip.supervisor.map(|sc| ChipSupervisor::new(sc, n));
-        MulticoreSim {
-            cfg,
-            chip,
-            slots,
-            supervisor,
-            power,
-            chip_cycles: 0,
-            telemetry: None,
-            collected: None,
-            skip: true,
-            log_skip_windows: false,
-            skip_windows: Vec::new(),
-        }
-    }
-
-    /// Enables or disables chip-level idle-gap skipping (on by default).
-    /// A gap opens only when *every* active core is simultaneously inside
-    /// a provably-idle window (parked cores are idle by definition), and
-    /// elides only the pipeline/power phase — the coupled thermal step and
-    /// all accounting still run per cycle — so [`ChipReport`]s stay
-    /// byte-identical either way (pinned by `tests/hot_loop_identity.rs`
-    /// and `tests/loop_contract.rs`).
-    pub fn set_skip(&mut self, on: bool) {
-        self.skip = on;
-    }
-
-    /// Enables skip-window logging for the next
-    /// [`run`](MulticoreSim::run); see
-    /// [`skip_windows`](MulticoreSim::skip_windows).
-    pub fn record_skip_windows(&mut self) {
-        self.log_skip_windows = true;
-    }
-
-    /// The chip-level skip-window log of the last run (empty unless
-    /// [`record_skip_windows`](MulticoreSim::record_skip_windows) was
-    /// enabled and gaps actually opened). A gap in which at least one
-    /// core sat parked reports
-    /// [`SkipReason::Parked`](crate::SkipReason::Parked); an all-resync
-    /// gap reports [`SkipReason::Resync`](crate::SkipReason::Resync);
-    /// otherwise the gated cause wins over the drained one.
-    pub fn skip_windows(&self) -> &[SkipWindow] {
-        &self.skip_windows
-    }
-
-    /// Enables telemetry collection for the next [`run`](MulticoreSim::run):
-    /// one collector per core (every event tagged with its core id) plus a
-    /// chip-level event ring for supervisor caps and park transitions.
-    /// The collected [`ChipTelemetry`] is available from
-    /// [`take_telemetry`](MulticoreSim::take_telemetry) afterwards.
-    /// Collection never changes the simulation: the [`ChipReport`] is
-    /// byte-identical with telemetry on or off (pinned by test).
-    ///
-    /// Phase timing on the chip covers the pipeline stage timers only;
-    /// the lockstep loop does not wrap the shared thermal step or the
-    /// controllers in per-call timers.
-    pub fn enable_telemetry(&mut self, cfg: &TelemetryConfig) {
-        if cfg.phases {
-            for slot in &mut self.slots {
-                slot.core.set_stage_profiling(true);
-            }
-        }
-        self.telemetry = Some(ChipTelemetryState {
-            cores: self
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(k, slot)| TelemetryState::with_core(cfg, k, &slot.core))
-                .collect(),
-            chip_events: cfg.events.map(|e| EventTrace::new(e.capacity, e.stride)),
-        });
-    }
-
-    /// The telemetry collected by the last run, if enabled.
-    pub fn telemetry(&self) -> Option<&ChipTelemetry> {
-        self.collected.as_ref()
-    }
-
-    /// Takes ownership of the collected telemetry.
-    pub fn take_telemetry(&mut self) -> Option<ChipTelemetry> {
-        self.collected.take()
-    }
-
-    /// Number of cores.
-    pub fn cores(&self) -> usize {
-        self.slots.len()
-    }
-
+impl Machine<CoupledChip> {
     /// The coupled thermal model (current temperatures, edges).
     pub fn chip(&self) -> &CoupledChip {
-        &self.chip
+        &self.die
     }
 
     /// The chip-level supervisor, if configured.
@@ -362,62 +98,21 @@ impl MulticoreSim {
         &self.slots[k].duty_history
     }
 
-    /// Runs every core to its stop condition and returns the chip report.
+    /// Runs every core to its stop condition and returns the chip report
+    /// ([`run_chip`](Machine::run_chip)).
     ///
-    /// The cores advance in chip-cycle lockstep through the cycle loop
-    /// the single-core simulator also runs: each cycle every active core
-    /// executes one pipeline cycle and stages its block powers, the
-    /// coupled kernel steps the whole chip once (inter-core flows from
-    /// pre-step temperatures), and every active core folds the cycle into
-    /// its accumulators. At each sampling boundary every active core
-    /// senses and samples its own policy; the supervisor (if any) then
-    /// caps the commands before they are applied.
+    /// Each cycle every active core executes one pipeline cycle and
+    /// stages its block powers, the coupled kernel steps the whole chip
+    /// once (inter-core flows from pre-step temperatures), and every
+    /// active core folds the cycle into its accumulators. At each
+    /// sampling boundary every active core senses and samples its own
+    /// policy; the supervisor (if any) then caps the commands before they
+    /// are applied.
     ///
     /// Conducted heat is a flow, not dissipation: reported per-block and
     /// chip powers exclude the coupling flows.
     pub fn run(&mut self) -> ChipReport {
-        self.skip_windows.clear();
-        let mut observer = self.telemetry.take();
-        let machine = Machine {
-            cfg: &self.cfg,
-            power: &self.power,
-            die: &mut self.chip,
-            slots: &mut self.slots,
-            supervisor: self.supervisor.as_mut(),
-            clock: &mut self.chip_cycles,
-            skip: self.skip,
-            log: self.log_skip_windows.then_some(&mut self.skip_windows),
-        };
-        match &mut observer {
-            Some(obs) => machine.run(obs),
-            None => machine.run(&mut NoObserver),
-        }
-        if let Some(obs) = observer {
-            let cores = obs
-                .cores
-                .into_iter()
-                .zip(&self.slots)
-                .map(|(ts, slot)| ts.flush(&slot.core, &slot.acc))
-                .collect();
-            self.collected = Some(ChipTelemetry {
-                cores,
-                chip_events: obs.chip_events,
-            });
-        }
-        ChipReport {
-            cores: self
-                .slots
-                .iter()
-                .zip(self.chip.core_models())
-                .map(|(slot, model)| slot.report(model.params()))
-                .collect(),
-            supervisor_interventions: self
-                .supervisor
-                .as_ref()
-                .map_or(0, ChipSupervisor::interventions),
-            coupled: !self.chip.edges().is_empty(),
-            chip_cycles: self.chip_cycles,
-        }
+        self.run_chip()
     }
 }
 
@@ -425,10 +120,10 @@ impl MulticoreSim {
 /// `cfg.chip.cores == 1` and no supervisor is attached) or on the
 /// multicore chip, returning core 0's report plus the chip report when a
 /// chip actually ran. With `telemetry` set, the run collects it and also
-/// returns the metric snapshot (merged over the cores on a chip) when
-/// the config collects metrics. This is the one place a grid cell picks
-/// its simulator: the engine's cell path and [`GridCell::run_chip`]
-/// both run through it.
+/// returns the metric snapshot (merged over the cores) when the config
+/// collects metrics. This is the one place a grid cell picks its
+/// simulator: the engine's cell path and [`GridCell::run_chip`] both run
+/// through it.
 ///
 /// [`GridCell::run_chip`]: crate::engine::GridCell::run_chip
 pub fn run_chip_cell(
@@ -437,29 +132,29 @@ pub fn run_chip_cell(
     power: Arc<PowerModel>,
     telemetry: Option<&TelemetryConfig>,
 ) -> (RunReport, Option<ChipReport>, Option<RegistrySnapshot>) {
-    if cfg.chip.cores == 1 && cfg.chip.supervisor.is_none() {
-        let mut sim = Simulator::for_workload_with_power(cfg, workload, power);
+    fn run<D: Die>(
+        mut sim: Machine<D>,
+        telemetry: Option<&TelemetryConfig>,
+    ) -> (ChipReport, Option<RegistrySnapshot>) {
         if let Some(telemetry) = telemetry {
             sim.enable_telemetry(telemetry);
         }
-        let report = sim.run();
-        let metrics = sim.take_telemetry().and_then(|t| t.metrics).map(|m| m.snapshot());
-        (report, None, metrics)
-    } else {
-        let mut sim = MulticoreSim::for_workload_with_power(cfg, workload, power);
-        if let Some(telemetry) = telemetry {
-            sim.enable_telemetry(telemetry);
-        }
-        let chip = sim.run();
-        let metrics = sim.take_telemetry().and_then(|t| t.merged_metrics());
-        (chip.cores[0].clone(), Some(chip), metrics)
+        let chip = sim.run_chip();
+        (chip, sim.take_telemetry().and_then(|t| t.merged_metrics()))
     }
+    let single = cfg.chip.cores == 1 && cfg.chip.supervisor.is_none();
+    let (chip, metrics) = if single {
+        run(Simulator::for_workload_with_power(cfg, workload, power), telemetry)
+    } else {
+        run(MulticoreSim::for_workload_with_power(cfg, workload, power), telemetry)
+    };
+    (chip.cores[0].clone(), (!single).then_some(chip), metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::NUM_THERMAL;
+    use crate::replay::NUM_THERMAL;
     use tdtm_dtm::PolicyKind;
 
     fn quick(policy: PolicyKind, cores: usize) -> SimConfig {
@@ -539,16 +234,6 @@ mod tests {
             duties.iter().any(|&d| d < 1.0),
             "at least one capped duty recorded"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "direct triggering only")]
-    fn interrupt_mechanism_is_rejected() {
-        let mut cfg = quick(PolicyKind::Pid, 2);
-        cfg.dtm.mechanism = TriggerMechanism::Interrupt {
-            latency_cycles: 250,
-        };
-        let _ = MulticoreSim::for_workload(cfg, &workload());
     }
 
     #[test]

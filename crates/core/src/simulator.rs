@@ -1,27 +1,32 @@
-//! The single-core simulator: one program under one configuration, run
-//! by the cycle loop it shares with the multicore chip, or by the
-//! per-cycle reference oracle.
+//! The simulator front end: [`Machine`], one type that owns a whole
+//! simulation — configuration, power model, thermal die, cores, the
+//! optional chip supervisor, the lockstep clock, idle-gap skipping and
+//! its log, and one observer — and runs it through the cycle loop.
+//!
+//! It has two faces, one per [`Die`]: the single-core [`Simulator`]
+//! (`Machine<BlockModel>`: one program on one core, with temperature
+//! proxies, traces, custom sensors, and the per-cycle reference oracle)
+//! and the chip's [`MulticoreSim`] (`Machine<CoupledChip>`; see
+//! [`crate::multicore`]). Construction, skipping, skip logging,
+//! telemetry and the run itself exist once, for both.
+//!
+//! [`MulticoreSim`]: crate::MulticoreSim
 
 use crate::config::SimConfig;
-use crate::cycle::{leakage_peaks, CoreSlot, CycleView, Machine, NoObserver, Observer};
+use crate::cycle::{leakage_peaks, CoreSlot, CycleView, Die, NoObserver, Observer};
 use crate::metrics::RunReport;
-use crate::telemetry::{sim_metrics_registry, HIST_FETCH_DUTY, HIST_HOTTEST_TEMP};
-use std::time::Instant;
-use tdtm_control::pid::PidSample;
-use tdtm_dtm::{SensorModel, TriggerMechanism};
+use crate::multicore::ChipReport;
+use crate::replay::NUM_THERMAL;
+use crate::telemetry::{ChipTelemetry, TelemetryState};
+use std::sync::Arc;
+use tdtm_dtm::{ChipSupervisor, SensorModel, TriggerMechanism};
 use tdtm_isa::Program;
 use tdtm_power::PowerModel;
-use tdtm_telemetry::{
-    ControllerSample, Event, EventTrace, Phase, PhaseProfile, Telemetry, TelemetryConfig,
-    ThresholdKind,
-};
+use tdtm_telemetry::{Event, EventTrace, TelemetryConfig};
 use tdtm_thermal::boxcar::BoxcarProxy;
 use tdtm_thermal::comparison::AgreementCounts;
 use tdtm_thermal::BlockModel;
-use tdtm_uarch::Core;
 use tdtm_workloads::Workload;
-
-pub(crate) const NUM_THERMAL: usize = 7;
 
 /// Minimum idle-window length (cycles) worth fast-forwarding: shorter
 /// windows are cheaper to just execute than to probe, fold, and
@@ -128,234 +133,6 @@ impl ProxyAttachment {
     }
 }
 
-/// A full simulation of one program under one configuration.
-pub struct Simulator {
-    cfg: SimConfig,
-    slot: CoreSlot,
-    power: std::sync::Arc<PowerModel>,
-    thermal: BlockModel,
-    /// What the next [`run`](Simulator::run) observes.
-    watch: Watch,
-    /// Collected telemetry of the last run.
-    collected: Option<Telemetry>,
-    /// Runs the per-cycle reference oracle instead of the cycle loop
-    /// (validation knob; see
-    /// [`set_reference_loop`](Simulator::set_reference_loop)).
-    reference_loop: bool,
-    /// Fast-forwards provably-idle windows (see
-    /// [`set_skip`](Simulator::set_skip); on by default).
-    skip: bool,
-    /// Records one [`SkipWindow`] per fast-forwarded window when enabled
-    /// (off by default so long runs don't grow a log nobody reads).
-    log_skip_windows: bool,
-    /// The skip-window log of the last run (when enabled).
-    skip_windows: Vec<SkipWindow>,
-}
-
-/// In-flight telemetry collection for one core: the collectors plus the
-/// cheap local accumulators and edge-detection state the cycle loop
-/// updates, flushed into the registry when the run ends. Every event it
-/// records is tagged with `core_id` (0 on the single-core path).
-#[derive(Default)]
-pub(crate) struct TelemetryState {
-    events: Option<EventTrace>,
-    registry: Option<tdtm_telemetry::MetricsRegistry>,
-    /// Cached histogram indices for the hot per-cycle/per-sample records.
-    temp_idx: usize,
-    duty_idx: usize,
-    phases: bool,
-    /// The core every event is tagged with.
-    core_id: usize,
-    /// Per-block "currently above" the emergency (0) and stress (1)
-    /// thresholds, for entry/exit edges.
-    above: [[bool; NUM_THERMAL]; 2],
-    /// Plain local counters (flushed to the registry at run end — the run
-    /// loop is single-threaded, so per-event atomics would be overhead).
-    duty_changes: u64,
-    /// Emergency (0) and stress (1) threshold entries.
-    entries: [u64; 2],
-    sensor_reads: u64,
-    thermal_steps: u64,
-    /// Supervisor duty caps imposed on this core and its park
-    /// transitions (their events go to the chip-level ring).
-    pub(crate) supervisor_caps: u64,
-    pub(crate) park_transitions: u64,
-    /// Host time of the non-pipeline phases (power, thermal step,
-    /// controller).
-    profile: PhaseProfile,
-    /// The core's stage timers and cycle count when collection began.
-    stage_nanos_start: [u64; 6],
-    core_cycles_start: u64,
-}
-
-impl TelemetryState {
-    /// A collector for `core`, whose events are tagged with `core_id`.
-    pub(crate) fn with_core(cfg: &TelemetryConfig, core_id: usize, core: &Core) -> TelemetryState {
-        let registry = cfg.metrics.then(sim_metrics_registry);
-        let (temp_idx, duty_idx) = registry.as_ref().map_or((0, 0), |reg| {
-            (
-                reg.histogram_index(HIST_HOTTEST_TEMP),
-                reg.histogram_index(HIST_FETCH_DUTY),
-            )
-        });
-        TelemetryState {
-            events: cfg.events.map(|e| EventTrace::new(e.capacity, e.stride)),
-            registry,
-            temp_idx,
-            duty_idx,
-            phases: cfg.phases,
-            core_id,
-            stage_nanos_start: core.stage_nanos(),
-            core_cycles_start: core.stats().cycles,
-            ..TelemetryState::default()
-        }
-    }
-
-    /// Per-cycle thermal step count, threshold edge detection, and
-    /// hottest-block histogram.
-    pub(crate) fn observe_cycle(&mut self, cycle: u64, temps: &[f64], emergency: f64) {
-        self.thermal_steps += 1;
-        let thresholds = [
-            (ThresholdKind::Emergency, emergency),
-            (ThresholdKind::Stress, emergency - 1.0),
-        ];
-        for (block, &t) in temps.iter().enumerate() {
-            for (i, (threshold, level)) in thresholds.into_iter().enumerate() {
-                let entered = t > level;
-                if entered == self.above[i][block] {
-                    continue;
-                }
-                self.above[i][block] = entered;
-                self.entries[i] += u64::from(entered);
-                if let Some(trace) = &mut self.events {
-                    trace.record(Event::ThermalEdge {
-                        cycle,
-                        core: self.core_id,
-                        block,
-                        threshold,
-                        entered,
-                    });
-                }
-            }
-        }
-        if let Some(reg) = &self.registry {
-            let hottest = temps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            reg.histogram_at(self.temp_idx).record(hottest);
-        }
-    }
-
-    /// Whether dense per-sample events (sensor reads, controller samples)
-    /// are due on the `index`-th DTM sample. `false` when the event ring
-    /// is disabled.
-    pub(crate) fn sample_due(&self, index: u64) -> bool {
-        self.events
-            .as_ref()
-            .is_some_and(|trace| trace.sample_due(index))
-    }
-
-    /// Records one [`Event::SensorRead`] per block (call only when
-    /// [`sample_due`](TelemetryState::sample_due)).
-    pub(crate) fn record_sensor_reads(&mut self, cycle: u64, sensed: &[f64]) {
-        self.sensor_reads += sensed.len() as u64;
-        if let Some(trace) = &mut self.events {
-            for (block, &reading) in sensed.iter().enumerate() {
-                trace.record(Event::SensorRead {
-                    cycle,
-                    core: self.core_id,
-                    block,
-                    reading,
-                });
-            }
-        }
-    }
-
-    /// Records one controller-internals event (call only when
-    /// [`sample_due`](TelemetryState::sample_due)).
-    pub(crate) fn record_controller(&mut self, cycle: u64, block: usize, s: &PidSample) {
-        if let Some(trace) = &mut self.events {
-            trace.record(Event::Controller {
-                cycle,
-                core: self.core_id,
-                sample: ControllerSample {
-                    block,
-                    error: s.error,
-                    p_term: s.p_term,
-                    i_term: s.i_term,
-                    d_term: s.d_term,
-                    integral_pre_clamp: s.integral_pre_clamp,
-                    integral: s.integral,
-                    output: s.output,
-                    saturated: s.saturated,
-                },
-            });
-        }
-    }
-
-    /// Records the commanded fetch duty into its histogram (every DTM
-    /// sample, not strided).
-    pub(crate) fn record_duty_hist(&mut self, duty: f64) {
-        if let Some(reg) = &self.registry {
-            reg.histogram_at(self.duty_idx).record(duty);
-        }
-    }
-
-    /// Records an applied duty-level change.
-    pub(crate) fn record_duty_change(&mut self, cycle: u64, from: f64, to: f64) {
-        self.duty_changes += 1;
-        if let Some(trace) = &mut self.events {
-            trace.record(Event::DutyChange {
-                cycle,
-                core: self.core_id,
-                from,
-                to,
-            });
-        }
-    }
-
-    /// Converts the in-flight state into the final [`Telemetry`]: flushes
-    /// the local counters into the registry and assembles the phase
-    /// profile from the core's stage timers and the loop's accumulators.
-    pub(crate) fn flush(mut self, core: &Core, acc: &RunAccum) -> Telemetry {
-        if let Some(reg) = &self.registry {
-            reg.counter("cycles").add(acc.cycle);
-            reg.counter("thermal_steps").add(self.thermal_steps);
-            reg.counter("dtm_samples").add(acc.samples);
-            reg.counter("duty_changes").add(self.duty_changes);
-            reg.counter("emergency_entries").add(self.entries[0]);
-            reg.counter("stress_entries").add(self.entries[1]);
-            reg.counter("sensor_reads").add(self.sensor_reads);
-            reg.counter("supervisor_caps").add(self.supervisor_caps);
-            reg.counter("core_parks").add(self.park_transitions);
-            if let Some(trace) = &self.events {
-                reg.counter("events_recorded").add(trace.recorded());
-                reg.counter("events_dropped").add(trace.dropped());
-            }
-        }
-        let phases = self.phases.then(|| {
-            let stage = core.stage_nanos();
-            let core_cycles = core.stats().cycles - self.core_cycles_start;
-            const STAGES: [Phase; 6] = [
-                Phase::Commit,
-                Phase::Writeback,
-                Phase::Issue,
-                Phase::Dispatch,
-                Phase::Decode,
-                Phase::Fetch,
-            ];
-            for (i, phase) in STAGES.into_iter().enumerate() {
-                let nanos = stage[i] - self.stage_nanos_start[i];
-                self.profile.add(phase, nanos, core_cycles);
-            }
-            self.profile
-        });
-        Telemetry {
-            events: self.events,
-            metrics: self.registry,
-            phases,
-        }
-    }
-}
-
 #[derive(Clone, Debug)]
 struct PowerTraceRecorder {
     stride: u64,
@@ -423,12 +200,17 @@ impl Trace {
     }
 }
 
-/// What a single-core run observes: telemetry, temperature proxies, the
-/// downsampled trace, and the power trace. Each hook runs on every cycle
-/// the loop executes or folds, so observation never depends on skipping.
+/// What a run observes: one telemetry collector per core plus the
+/// chip-level event ring, and — attachable on the single-core face only,
+/// so they always see core 0 — temperature proxies, the downsampled
+/// trace and the power trace. Each hook runs on every cycle the loop
+/// executes or folds, so observation never depends on skipping.
 #[derive(Default)]
 struct Watch {
-    telemetry: Option<TelemetryState>,
+    /// Per-core telemetry collectors; empty when telemetry is off.
+    cores: Vec<TelemetryState>,
+    /// Supervisor caps and park transitions, when the event ring is on.
+    chip_events: Option<EventTrace>,
     proxies: Vec<ProxyAttachment>,
     trace: Option<Trace>,
     power_trace: Option<PowerTraceRecorder>,
@@ -436,20 +218,37 @@ struct Watch {
 
 impl Watch {
     fn is_empty(&self) -> bool {
-        self.telemetry.is_none()
+        self.cores.is_empty()
             && self.proxies.is_empty()
             && self.trace.is_none()
             && self.power_trace.is_none()
     }
+
+    /// Flushes the per-core collectors into the run's [`ChipTelemetry`]
+    /// (`None` when telemetry was off).
+    fn collect(&mut self, slots: &[CoreSlot]) -> Option<ChipTelemetry> {
+        if self.cores.is_empty() {
+            return None;
+        }
+        let cores = std::mem::take(&mut self.cores)
+            .into_iter()
+            .zip(slots)
+            .map(|(ts, slot)| ts.flush(&slot.core, &slot.acc))
+            .collect();
+        Some(ChipTelemetry {
+            cores,
+            chip_events: self.chip_events.take(),
+        })
+    }
 }
 
 impl Observer for Watch {
-    fn telemetry(&mut self, _k: usize) -> Option<&mut TelemetryState> {
-        self.telemetry.as_mut()
+    fn telemetry(&mut self, k: usize) -> Option<&mut TelemetryState> {
+        self.cores.get_mut(k)
     }
 
-    fn cycle(&mut self, _k: usize, c: &CycleView) {
-        if let Some(ts) = &mut self.telemetry {
+    fn cycle(&mut self, k: usize, c: &CycleView) {
+        if let Some(ts) = self.cores.get_mut(k) {
             ts.observe_cycle(c.cycle, c.temps, c.emergency);
         }
         for proxy in &mut self.proxies {
@@ -463,17 +262,30 @@ impl Observer for Watch {
         }
     }
 
-    fn timer(&self) -> Option<Instant> {
-        self.telemetry
-            .as_ref()
-            .filter(|ts| ts.phases)
-            .map(|_| Instant::now())
+    fn park(&mut self, k: usize, cycle: u64) {
+        if let Some(ts) = self.cores.get_mut(k) {
+            ts.park_transitions += 1;
+        }
+        if let Some(ring) = &mut self.chip_events {
+            ring.record(Event::Park {
+                cycle,
+                core: k,
+                parked: true,
+            });
+        }
     }
 
-    fn lap(&mut self, phase: Phase, start: Option<Instant>, calls: u64) {
-        if let (Some(ts), Some(start)) = (&mut self.telemetry, start) {
-            ts.profile
-                .add(phase, start.elapsed().as_nanos() as u64, calls);
+    fn supervisor_cap(&mut self, cycle: u64, k: usize, hottest: f64, cap: f64) {
+        if let Some(ts) = self.cores.get_mut(k) {
+            ts.supervisor_caps += 1;
+        }
+        if let Some(ring) = &mut self.chip_events {
+            ring.record(Event::SupervisorCap {
+                cycle,
+                core: k,
+                hottest,
+                cap,
+            });
         }
     }
 }
@@ -552,17 +364,55 @@ impl RunAccum {
     }
 }
 
-impl Simulator {
+/// A full simulation of one program on the cores of a [`Die`]: the one
+/// simulator type. [`Simulator`] is its single-core face and
+/// [`MulticoreSim`](crate::MulticoreSim) its chip face.
+///
+/// On a chip all cores run the same program (each on its own pipeline),
+/// which makes the cross-core-interference scenarios deterministic:
+/// differences between cores come only from DTM throttling,
+/// heterogeneity, and thermal coupling, never from workload skew. Each
+/// simulation runs once.
+pub struct Machine<D: Die> {
+    pub(crate) cfg: SimConfig,
+    pub(crate) power: Arc<PowerModel>,
+    pub(crate) die: D,
+    pub(crate) slots: Vec<CoreSlot>,
+    pub(crate) supervisor: Option<ChipSupervisor>,
+    /// The lockstep clock; every active core's `acc.cycle` equals it.
+    pub(crate) clock: u64,
+    /// Fast-forwards provably idle gaps (see [`set_skip`](Machine::set_skip);
+    /// on by default).
+    pub(crate) skip: bool,
+    /// The skip-window log, when [`record_skip_windows`] turned it on
+    /// (off by default so long runs don't grow a log nobody reads).
+    ///
+    /// [`record_skip_windows`]: Machine::record_skip_windows
+    pub(crate) skip_log: Option<Vec<SkipWindow>>,
+    /// What the run observes.
+    watch: Watch,
+    /// Collected telemetry of the run.
+    collected: Option<ChipTelemetry>,
+    /// Runs in place of the cycle loop when set (the single-core face's
+    /// reference oracle; see [`Simulator::set_reference_loop`]).
+    oracle: Option<fn(&mut Machine<D>)>,
+}
+
+impl<D: Die> Machine<D> {
     /// Builds a simulator over an arbitrary program (no warmup skip).
-    pub fn new(cfg: SimConfig, program: Program) -> Simulator {
+    ///
+    /// # Panics
+    ///
+    /// On the chip face, panics if `cfg.chip.cores` is zero.
+    pub fn new(cfg: SimConfig, program: Program) -> Machine<D> {
         let name = program.name.clone();
-        Simulator::build(cfg, std::sync::Arc::new(program), &name, 0, None)
+        Machine::build(cfg, Arc::new(program), &name, 0, None)
     }
 
     /// Builds a simulator for a suite workload, honoring its functional
-    /// warmup skip.
-    pub fn for_workload(cfg: SimConfig, workload: &Workload) -> Simulator {
-        Simulator::build(
+    /// warmup skip on every core.
+    pub fn for_workload(cfg: SimConfig, workload: &Workload) -> Machine<D> {
+        Machine::build(
             cfg,
             workload.program_shared(),
             workload.name,
@@ -571,16 +421,17 @@ impl Simulator {
         )
     }
 
-    /// [`for_workload`](Simulator::for_workload) with a prebuilt, shared
-    /// power model. The caller must have built `power` from this exact
-    /// `cfg.power`/`cfg.core` pair (the experiment engine caches one model
-    /// per distinct pair across grid cells).
+    /// [`for_workload`](Machine::for_workload) with a prebuilt, shared
+    /// power model, which serves every core. The caller must have built
+    /// `power` from this exact `cfg.power`/`cfg.core` pair (the
+    /// experiment engine caches one model per distinct pair across grid
+    /// cells).
     pub fn for_workload_with_power(
         cfg: SimConfig,
         workload: &Workload,
-        power: std::sync::Arc<PowerModel>,
-    ) -> Simulator {
-        Simulator::build(
+        power: Arc<PowerModel>,
+    ) -> Machine<D> {
+        Machine::build(
             cfg,
             workload.program_shared(),
             workload.name,
@@ -589,52 +440,157 @@ impl Simulator {
         )
     }
 
+    /// One core per die core: core 0 keeps the plain program name and the
+    /// configured policy; core `k` is suffixed `#k` and runs
+    /// `cfg.chip.neighbor_policy` when one is set.
     fn build(
         cfg: SimConfig,
-        program: std::sync::Arc<Program>,
+        program: Arc<Program>,
         name: &str,
         skip: u64,
-        power: Option<std::sync::Arc<PowerModel>>,
-    ) -> Simulator {
-        let power =
-            power.unwrap_or_else(|| std::sync::Arc::new(PowerModel::new(&cfg.power, &cfg.core)));
-        let thermal = BlockModel::new(cfg.blocks.clone(), cfg.heatsink_temp, cfg.cycle_time());
-        Simulator {
-            slot: CoreSlot::new(&cfg, cfg.dtm, program, skip, name.to_string()),
+        power: Option<Arc<PowerModel>>,
+    ) -> Machine<D> {
+        let power = power.unwrap_or_else(|| Arc::new(PowerModel::new(&cfg.power, &cfg.core)));
+        let (die, supervisor) = D::build(&cfg);
+        let slots = (0..die.cores())
+            .map(|k| {
+                let mut dtm = cfg.dtm;
+                if k > 0 {
+                    if let Some(p) = cfg.chip.neighbor_policy {
+                        dtm.policy = p;
+                    }
+                }
+                let name = if k == 0 {
+                    name.to_string()
+                } else {
+                    format!("{name}#{k}")
+                };
+                CoreSlot::new(&cfg, dtm, program.clone(), skip, name)
+            })
+            .collect();
+        Machine {
+            cfg,
             power,
-            thermal,
+            die,
+            slots,
+            supervisor,
+            clock: 0,
+            skip: true,
+            skip_log: None,
             watch: Watch::default(),
             collected: None,
-            reference_loop: false,
-            skip: true,
-            log_skip_windows: false,
-            skip_windows: Vec::new(),
-            cfg,
+            oracle: None,
         }
     }
 
-    /// Enables telemetry collection for the next [`run`](Simulator::run).
-    /// The collected [`Telemetry`] is available from
-    /// [`telemetry`](Simulator::telemetry) afterwards. Collection never
-    /// changes the simulation: the [`RunReport`] is byte-identical with
-    /// telemetry on or off.
+    /// Enables or disables idle-gap skipping (on by default). A gap opens
+    /// only when *every* active core is simultaneously inside a
+    /// provably-idle window (parked cores are idle by definition).
+    /// Skipping never changes the report or any observation: a gated,
+    /// drained, resync-stalled or parked window is advanced with the same
+    /// per-cycle arithmetic the loop would have executed, and observers
+    /// still see every cycle, so reports stay byte-identical either way
+    /// (pinned by `tests/hot_loop_identity.rs` and
+    /// `tests/loop_contract.rs`).
+    pub fn set_skip(&mut self, on: bool) {
+        self.skip = on;
+    }
+
+    /// Enables skip-window logging for the run: each fast-forwarded
+    /// window is recorded with its start/end cycle and reason, available
+    /// from [`skip_windows`](Machine::skip_windows) afterwards.
+    pub fn record_skip_windows(&mut self) {
+        self.skip_log = Some(Vec::new());
+    }
+
+    /// The skip-window log of the run (empty unless
+    /// [`record_skip_windows`](Machine::record_skip_windows) was enabled
+    /// and gaps actually opened). A gap in which at least one core sat
+    /// parked reports [`SkipReason::Parked`]; an all-resync gap reports
+    /// [`SkipReason::Resync`]; otherwise the gated cause wins over the
+    /// drained one.
+    pub fn skip_windows(&self) -> &[SkipWindow] {
+        self.skip_log.as_deref().unwrap_or_default()
+    }
+
+    /// Enables telemetry collection for the run: one collector per core
+    /// (every event tagged with its core id) plus a chip-level event ring
+    /// for supervisor caps and park transitions. The collected
+    /// [`ChipTelemetry`] is available from
+    /// [`telemetry`](Machine::telemetry) afterwards. Phase timing covers
+    /// the pipeline stage timers. Collection never changes the
+    /// simulation: the report is byte-identical with telemetry on or off
+    /// (pinned by tests).
     pub fn enable_telemetry(&mut self, cfg: &TelemetryConfig) {
-        if cfg.phases {
-            self.slot.core.set_stage_profiling(true);
-        }
-        self.watch.telemetry = Some(TelemetryState::with_core(cfg, 0, &self.slot.core));
+        self.watch.cores = self
+            .slots
+            .iter_mut()
+            .enumerate()
+            .map(|(k, slot)| {
+                if cfg.phases {
+                    slot.core.set_stage_profiling(true);
+                }
+                TelemetryState::with_core(cfg, k, &slot.core)
+            })
+            .collect();
+        self.watch.chip_events = cfg.events.map(|e| EventTrace::new(e.capacity, e.stride));
     }
 
-    /// The telemetry collected by the last run, if enabled.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
+    /// The telemetry collected by the run, if enabled.
+    pub fn telemetry(&self) -> Option<&ChipTelemetry> {
         self.collected.as_ref()
     }
 
     /// Takes ownership of the collected telemetry.
-    pub fn take_telemetry(&mut self) -> Option<Telemetry> {
+    pub fn take_telemetry(&mut self) -> Option<ChipTelemetry> {
         self.collected.take()
     }
 
+    /// Number of cores.
+    pub fn cores(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Runs every core to its stop condition and returns one report per
+    /// core: [`Simulator::run`] is its core 0, and
+    /// [`MulticoreSim::run`](crate::MulticoreSim::run) is this.
+    ///
+    /// The cores advance in lockstep through the one cycle loop,
+    /// monomorphized for the no-op observer when nothing is attached and
+    /// for the one observer otherwise. Both skip idle gaps alike and
+    /// finalize through one code path, so reports are byte-identical
+    /// whatever is attached (pinned by tests).
+    pub fn run_chip(&mut self) -> ChipReport {
+        let mut watch = std::mem::take(&mut self.watch);
+        match self.oracle {
+            Some(oracle) => oracle(self),
+            None if watch.is_empty() => self.cycle_loop(&mut NoObserver),
+            None => self.cycle_loop(&mut watch),
+        }
+        self.collected = watch.collect(&self.slots);
+        self.watch = watch;
+        ChipReport {
+            cores: self
+                .slots
+                .iter()
+                .enumerate()
+                .map(|(k, slot)| slot.report(self.die.model(k).params()))
+                .collect(),
+            supervisor_interventions: self
+                .supervisor
+                .as_ref()
+                .map_or(0, ChipSupervisor::interventions),
+            coupled: self.die.coupled(),
+            chip_cycles: self.clock,
+        }
+    }
+}
+
+/// The single-core face of [`Machine`]: one program on one core over one
+/// [`BlockModel`]. It ignores `cfg.chip`.
+pub type Simulator = Machine<BlockModel>;
+
+impl Machine<BlockModel> {
     /// Enables downsampled trace recording (one sample every `stride`
     /// cycles). Call before [`run`](Simulator::run).
     ///
@@ -682,7 +638,7 @@ impl Simulator {
 
     /// Replaces the ideal sensors (for the sensor-fidelity ablation).
     pub fn set_sensors(&mut self, sensors: SensorModel) {
-        self.slot.sensors = sensors;
+        self.slots[0].sensors = sensors;
     }
 
     /// Attaches a per-structure boxcar power proxy with the given window,
@@ -692,8 +648,8 @@ impl Simulator {
             label: format!("structure {window}"),
             kind: ProxyKind::PerStructure {
                 boxcars: vec![BoxcarProxy::new(window); NUM_THERMAL],
-                rs: std::array::from_fn(|i| self.thermal.params()[i].r),
-                heatsink: self.thermal.heatsink(),
+                rs: std::array::from_fn(|i| self.die.params()[i].r),
+                heatsink: self.die.heatsink(),
             },
             counts: vec![AgreementCounts::new(); NUM_THERMAL],
         });
@@ -721,12 +677,12 @@ impl Simulator {
 
     /// Sampled fetch-duty history (one entry per DTM sample).
     pub fn duty_history(&self) -> &[f64] {
-        &self.slot.duty_history
+        &self.slots[0].duty_history
     }
 
     /// Current block temperatures (for tracing examples).
     pub fn temperatures(&self) -> &[f64] {
-        self.thermal.temperatures()
+        self.die.temperatures()
     }
 
     /// Runs the plain per-cycle reference oracle instead of the cycle
@@ -735,72 +691,13 @@ impl Simulator {
     /// takes no observers — attached telemetry, proxies, and traces
     /// record nothing while it runs.
     pub fn set_reference_loop(&mut self, on: bool) {
-        self.reference_loop = on;
+        self.oracle = on.then_some(Simulator::run_reference);
     }
 
-    /// Enables or disables idle-gap skipping (on by default). Skipping
-    /// never changes the report or any observation: a gated, drained, or
-    /// resync-stalled window is advanced with the same per-cycle
-    /// arithmetic the loop would have executed, and observers still see
-    /// every cycle, so [`RunReport`]s stay byte-identical either way (pinned by `tests/hot_loop_identity.rs` and
-    /// `tests/loop_contract.rs`).
-    pub fn set_skip(&mut self, on: bool) {
-        self.skip = on;
-    }
-
-    /// Enables skip-window logging for the next [`run`](Simulator::run):
-    /// each fast-forwarded window is recorded with its start/end cycle
-    /// and reason, available from
-    /// [`skip_windows`](Simulator::skip_windows) afterwards.
-    pub fn record_skip_windows(&mut self) {
-        self.log_skip_windows = true;
-    }
-
-    /// The skip-window log of the last run (empty unless
-    /// [`record_skip_windows`](Simulator::record_skip_windows) was
-    /// enabled and the loop actually skipped).
-    pub fn skip_windows(&self) -> &[SkipWindow] {
-        &self.skip_windows
-    }
-
-    /// Runs to the configured instruction budget and returns the report.
-    ///
-    /// The run goes through the cycle loop shared with
-    /// [`MulticoreSim`](crate::MulticoreSim), as its N = 1 case:
-    /// monomorphized for the no-op observer when nothing is attached, and
-    /// for the single-core observer (telemetry, proxies, traces)
-    /// otherwise. Both skip idle gaps alike and finalize through one code
-    /// path, so reports are byte-identical whatever is attached (pinned
-    /// by tests).
+    /// Runs to the configured instruction budget and returns the report:
+    /// core 0 of [`run_chip`](Machine::run_chip).
     pub fn run(&mut self) -> RunReport {
-        self.skip_windows.clear();
-        let slot = &mut self.slot;
-        slot.acc = RunAccum::new();
-        slot.warm_start_power = [0.0; NUM_THERMAL];
-        slot.parked = false;
-        if self.reference_loop {
-            self.run_reference();
-        } else {
-            let machine = Machine {
-                cfg: &self.cfg,
-                power: &self.power,
-                die: &mut self.thermal,
-                slots: std::slice::from_mut(&mut self.slot),
-                supervisor: None,
-                clock: &mut 0,
-                skip: self.skip,
-                log: self.log_skip_windows.then_some(&mut self.skip_windows),
-            };
-            if self.watch.is_empty() {
-                machine.run(&mut NoObserver);
-            } else {
-                machine.run(&mut self.watch);
-            }
-        }
-        if let Some(ts) = self.watch.telemetry.take() {
-            self.collected = Some(ts.flush(&self.slot.core, &self.slot.acc));
-        }
-        self.slot.report(self.thermal.params())
+        self.run_chip().cores.swap_remove(0)
     }
 
     /// The reference oracle: the plain per-cycle loop the tests compare
@@ -810,13 +707,15 @@ impl Simulator {
     /// the DTM-sample boundary, and polls interrupt-delayed commands — no
     /// chunking, no idle-gap skipping, and no observers.
     fn run_reference(&mut self) {
-        let Simulator {
+        let Machine {
             cfg,
-            slot,
+            slots,
             power,
-            thermal,
+            die: thermal,
+            clock,
             ..
         } = self;
+        let slot = &mut slots[0];
         let interval = cfg.dtm.sample_interval.max(1);
         let emergency = cfg.dtm.emergency;
         let nominal_dt = cfg.cycle_time();
@@ -865,6 +764,7 @@ impl Simulator {
             }
             slot.acc.cycle += 1;
         }
+        *clock = slot.acc.cycle;
     }
 }
 

@@ -53,7 +53,7 @@ fn telemetry_collects_what_the_run_did() {
     let mut sim = Simulator::for_workload(hot_config(PolicyKind::Pid), &workload);
     sim.enable_telemetry(&TelemetryConfig::full(100_000, 1));
     let report = sim.run();
-    let telemetry = sim.take_telemetry().expect("enabled");
+    let telemetry = sim.take_telemetry().expect("enabled").cores.remove(0);
 
     let snap = telemetry.metrics.expect("metrics on").snapshot();
     assert_eq!(snap.counter("cycles"), report.total_cycles);

@@ -887,6 +887,53 @@ mod tests {
     }
 
     #[test]
+    fn stability_margin_schedule_keeps_the_pi_loop_stable() {
+        // Bhat et al.'s premise: backing the designed PI gains off by the
+        // margin scale never destabilizes the loop. For every plant gain,
+        // time constant and sampling interval (1.5 GHz, dead time half a
+        // period), each scale from the floor to 1 times the policy's own
+        // gains, in series with the plant and the Padé-approximated
+        // delay, must pass Routh-Hurwitz.
+        use tdtm_control::design::PidGains;
+        use tdtm_control::stability::routh_hurwitz;
+        const CLOCK_HZ: f64 = 1.5e9;
+        const SCALES: usize = 5;
+        let mut cases = 0;
+        for gain in [1.0, 2.0, 4.0, 8.0, 12.0, 20.0] {
+            for tau_us in [10.0, 30.0, 84.0, 200.0, 500.0, 1000.0] {
+                for interval in [250, 500, 1000, 2000, 4000] {
+                    let cfg = DtmConfig {
+                        plant_gain: gain,
+                        plant_tau: tau_us * 1e-6,
+                        sample_interval: interval,
+                        ..config(PolicyKind::StabilityAware)
+                    };
+                    let policy = StabilityAwarePi::new(cfg, CLOCK_HZ);
+                    let plant = FopdtPlant {
+                        gain,
+                        time_constant: cfg.plant_tau,
+                        delay: cfg.loop_delay(CLOCK_HZ),
+                    };
+                    for i in 0..SCALES {
+                        let m = MIN_MARGIN_SCALE
+                            + (1.0 - MIN_MARGIN_SCALE) * i as f64 / (SCALES - 1) as f64;
+                        let scaled = PidGains { kp: m * policy.kp, ki: m * policy.ki, kd: 0.0 };
+                        let plant_tf = plant.transfer_function();
+                        let open_loop = scaled.transfer_function().series(&plant_tf);
+                        let closed = open_loop.pade1().characteristic_polynomial();
+                        assert!(
+                            routh_hurwitz(&closed).is_stable(),
+                            "K {gain}, tau {tau_us} us, interval {interval}, scale {m}: {scaled:?}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 6 * 6 * 5 * SCALES);
+    }
+
+    #[test]
     fn new_policies_build_through_the_factory() {
         for kind in [PolicyKind::AdaptiveI, PolicyKind::StabilityAware] {
             let mut p = build_policy(&config(kind));

@@ -123,14 +123,6 @@ impl Cpu {
         self.halted
     }
 
-    /// Whether functional execution can still supply retired
-    /// instructions — the "source not yet drained" query behind the
-    /// timing model's idle-window detection (oracle-stream exhaustion
-    /// checks bottom out here).
-    pub fn can_retire(&self) -> bool {
-        !self.halted
-    }
-
     /// Number of instructions retired so far.
     pub fn retired_count(&self) -> u64 {
         self.retired

@@ -15,9 +15,8 @@
 //!   merge deterministically (the experiment engine merges per-cell
 //!   snapshots in cell order, so N-thread grids report byte-identical
 //!   telemetry to 1-thread grids);
-//! * [`phase`] — a [`PhaseProfile`] of scoped host-time timers (pipeline
-//!   stages, thermal step, controller sample, grid cell) for attributing
-//!   wall-clock cost;
+//! * [`phase`] — a [`PhaseProfile`] of host-time timers per pipeline
+//!   stage, for attributing wall-clock cost;
 //! * [`stream`] — incremental fleet observability: [`CellRecord`]s of
 //!   completed experiment-grid cells fed to a [`StreamSink`] (JSONL file
 //!   or in-memory) with monotone completion stamps, so a live consumer
@@ -65,7 +64,8 @@ pub struct TelemetryConfig {
     pub events: Option<EventTraceConfig>,
     /// Collect the counter/histogram metrics registry.
     pub metrics: bool,
-    /// Collect scoped phase timers (host wall-clock attribution).
+    /// Collect the pipeline-stage phase timers (host wall-clock
+    /// attribution).
     pub phases: bool,
 }
 
@@ -107,51 +107,4 @@ pub struct Telemetry {
     pub metrics: Option<MetricsRegistry>,
     /// The phase-timer profile, if enabled.
     pub phases: Option<PhaseProfile>,
-}
-
-impl Telemetry {
-    /// Builds the collectors a config asks for. The metrics schema is
-    /// domain-specific, so the caller supplies the registry constructor;
-    /// it is only invoked when `config.metrics` is set.
-    pub fn from_config(
-        config: &TelemetryConfig,
-        registry: impl FnOnce() -> MetricsRegistry,
-    ) -> Telemetry {
-        Telemetry {
-            events: config.events.map(|e| EventTrace::new(e.capacity, e.stride)),
-            metrics: if config.metrics { Some(registry()) } else { None },
-            phases: if config.phases { Some(PhaseProfile::new()) } else { None },
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_config_collects_nothing() {
-        let t = Telemetry::from_config(&TelemetryConfig::default(), MetricsRegistry::new);
-        assert!(t.events.is_none() && t.metrics.is_none() && t.phases.is_none());
-    }
-
-    #[test]
-    fn full_config_builds_all_three() {
-        let t = Telemetry::from_config(&TelemetryConfig::full(64, 2), || {
-            MetricsRegistry::new().with_counter("x")
-        });
-        assert_eq!(t.events.as_ref().unwrap().stride(), 2);
-        assert_eq!(t.metrics.as_ref().unwrap().snapshot().counters.len(), 1);
-        assert!(t.phases.is_some());
-    }
-
-    #[test]
-    fn registry_constructor_lazy() {
-        let mut built = false;
-        let _ = Telemetry::from_config(&TelemetryConfig::default(), || {
-            built = true;
-            MetricsRegistry::new()
-        });
-        assert!(!built, "registry must not be built when metrics are off");
-    }
 }

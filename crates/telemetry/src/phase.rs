@@ -1,17 +1,13 @@
-//! Scoped phase timers: where does host wall-clock time go?
+//! Phase timers: where does the pipeline's host wall-clock time go?
 //!
 //! A [`PhaseProfile`] accumulates nanoseconds and call counts per
-//! [`Phase`]. Hot loops usually time a whole batch with one
-//! `Instant::now()` pair and deposit it via [`PhaseProfile::add`]; the
-//! convenience [`PhaseProfile::time`] wraps a single closure. Phase
-//! timings are host-side observations only — they never feed back into
-//! the simulation, and they are intentionally excluded from determinism
-//! comparisons.
+//! [`Phase`], one per pipeline stage; the pipeline times its stages
+//! itself and the profile receives the totals via [`PhaseProfile::add`].
+//! Phase timings are host-side observations only — they never feed back
+//! into the simulation, and they are intentionally excluded from
+//! determinism comparisons.
 
-use std::time::Instant;
-
-/// The instrumented phases of a run, from pipeline stages up to whole
-/// grid cells.
+/// The instrumented phases of a run: the six pipeline stages.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(usize)]
 pub enum Phase {
@@ -27,29 +23,17 @@ pub enum Phase {
     Decode,
     /// Pipeline fetch stage.
     Fetch,
-    /// Per-cycle power accounting.
-    Power,
-    /// Thermal-RC model step.
-    ThermalStep,
-    /// DTM sensor read + controller sample + actuation.
-    Controller,
-    /// One whole workload×policy grid cell.
-    GridCell,
 }
 
 impl Phase {
     /// All phases, in display order.
-    pub const ALL: [Phase; 10] = [
+    pub const ALL: [Phase; 6] = [
         Phase::Commit,
         Phase::Writeback,
         Phase::Issue,
         Phase::Dispatch,
         Phase::Decode,
         Phase::Fetch,
-        Phase::Power,
-        Phase::ThermalStep,
-        Phase::Controller,
-        Phase::GridCell,
     ];
 
     /// Human-readable name.
@@ -61,10 +45,6 @@ impl Phase {
             Phase::Dispatch => "dispatch",
             Phase::Decode => "decode",
             Phase::Fetch => "fetch",
-            Phase::Power => "power",
-            Phase::ThermalStep => "thermal_step",
-            Phase::Controller => "controller",
-            Phase::GridCell => "grid_cell",
         }
     }
 }
@@ -72,22 +52,14 @@ impl Phase {
 /// Accumulated host time and call counts per [`Phase`].
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct PhaseProfile {
-    nanos: [u64; 10],
-    calls: [u64; 10],
+    nanos: [u64; 6],
+    calls: [u64; 6],
 }
 
 impl PhaseProfile {
     /// An empty profile.
     pub fn new() -> PhaseProfile {
         PhaseProfile::default()
-    }
-
-    /// Times one closure under `phase`.
-    pub fn time<T>(&mut self, phase: Phase, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.add(phase, start.elapsed().as_nanos() as u64, 1);
-        out
     }
 
     /// Deposits pre-measured time: `nanos` spent across `calls`
@@ -107,18 +79,9 @@ impl PhaseProfile {
         self.calls[phase as usize]
     }
 
-    /// Sum of all phase nanoseconds. Phases may nest (a grid cell
-    /// contains thermal steps), so this can exceed real elapsed time.
+    /// Sum of all phase nanoseconds.
     pub fn total_nanos(&self) -> u64 {
         self.nanos.iter().sum()
-    }
-
-    /// Adds another profile's accumulations into this one.
-    pub fn merge_from(&mut self, other: &PhaseProfile) {
-        for i in 0..self.nanos.len() {
-            self.nanos[i] += other.nanos[i];
-            self.calls[i] += other.calls[i];
-        }
     }
 
     /// Renders a fixed-width table of the non-empty phases:
@@ -148,16 +111,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn time_accumulates_nanos_and_calls() {
-        let mut p = PhaseProfile::new();
-        let v = p.time(Phase::ThermalStep, || 42);
-        assert_eq!(v, 42);
-        p.time(Phase::ThermalStep, || ());
-        assert_eq!(p.calls(Phase::ThermalStep), 2);
-        assert_eq!(p.calls(Phase::Fetch), 0);
-    }
-
-    #[test]
     fn add_deposits_batched_time() {
         let mut p = PhaseProfile::new();
         p.add(Phase::Fetch, 1_000, 10);
@@ -168,24 +121,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_elementwise() {
-        let mut a = PhaseProfile::new();
-        a.add(Phase::GridCell, 100, 1);
-        let mut b = PhaseProfile::new();
-        b.add(Phase::GridCell, 200, 1);
-        b.add(Phase::Controller, 50, 2);
-        a.merge_from(&b);
-        assert_eq!(a.nanos(Phase::GridCell), 300);
-        assert_eq!(a.calls(Phase::GridCell), 2);
-        assert_eq!(a.nanos(Phase::Controller), 50);
-    }
-
-    #[test]
     fn render_table_skips_empty_phases() {
         let mut p = PhaseProfile::new();
-        p.add(Phase::ThermalStep, 2_000_000, 1_000);
+        p.add(Phase::Issue, 2_000_000, 1_000);
         let table = p.render_table();
-        assert!(table.contains("thermal_step"));
+        assert!(table.contains("issue"));
         assert!(!table.contains("fetch"));
         assert!(table.lines().count() == 2);
     }

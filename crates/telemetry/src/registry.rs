@@ -24,11 +24,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Increments by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -316,7 +311,7 @@ mod tests {
     fn counters_accumulate() {
         let r = registry();
         r.counter("cycles").add(10);
-        r.counter("cycles").inc();
+        r.counter("cycles").add(1);
         assert_eq!(r.counter("cycles").get(), 11);
         assert_eq!(r.counter("samples").get(), 0);
     }

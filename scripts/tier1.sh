@@ -42,11 +42,13 @@ cargo run -q --release -p tdtm-bench --bin trace_run -- gcc pid --cores 2 --supe
 
 echo "== tier 1: obs_report smoke (streaming grid -> JSONL -> dashboard) =="
 # End-to-end through the observability stack: run a 2x2 grid with
-# streaming, then assert the JSONL parses and the dashboard renders.
+# streaming, then assert the JSONL parses and the dashboard renders. This
+# smoke and the cache smoke below run on one worker (TDTM_THREADS=1), so
+# each stream's record order is the cell order and the diffs are stable.
 OBS_STREAM="$(mktemp /tmp/tier1_obs.XXXXXX.jsonl)"
 CACHE_DIR="$(mktemp -d /tmp/tier1_cache.XXXXXX)"
 trap 'rm -f "$OBS_STREAM" "$OBS_STREAM".s1 "$OBS_STREAM".s2 "$OBS_STREAM".s3; rm -rf "$CACHE_DIR"' EXIT
-OBS_OUT="$(cargo run -q --release -p tdtm-bench --bin obs_report -- --demo-grid "$OBS_STREAM" 2> /dev/null)"
+OBS_OUT="$(TDTM_THREADS=1 cargo run -q --release -p tdtm-bench --bin obs_report -- --demo-grid "$OBS_STREAM" 2> /dev/null)"
 test "$(wc -l < "$OBS_STREAM")" -eq 4 || { echo "obs stream: expected 4 JSONL records"; exit 1; }
 grep -q '"label":"gcc/PID"' "$OBS_STREAM" || { echo "obs stream: missing cell record"; exit 1; }
 echo "$OBS_OUT" | grep -q '^# Grid observability dashboard' || { echo "obs_report: dashboard did not render"; exit 1; }
@@ -59,9 +61,9 @@ echo "== tier 1: result cache smoke (cold -> warm -> TDTM_CACHE=0) =="
 # rate, and the TDTM_CACHE=0 pass must reproduce pre-cache behavior
 # exactly (no "cached" field at all). Up to host-side stamps/timing and
 # cache provenance, all three streams are identical.
-S1_OUT="$(TDTM_CACHE_DIR="$CACHE_DIR" cargo run -q --release -p tdtm-bench --bin obs_report -- --demo-grid "$OBS_STREAM".s1 2> /dev/null)"
-S2_OUT="$(TDTM_CACHE_DIR="$CACHE_DIR" cargo run -q --release -p tdtm-bench --bin obs_report -- --demo-grid "$OBS_STREAM".s2 2> /dev/null)"
-TDTM_CACHE=0 TDTM_CACHE_DIR="$CACHE_DIR" cargo run -q --release -p tdtm-bench --bin obs_report -- --demo-grid "$OBS_STREAM".s3 > /dev/null 2>&1
+S1_OUT="$(TDTM_THREADS=1 TDTM_CACHE_DIR="$CACHE_DIR" cargo run -q --release -p tdtm-bench --bin obs_report -- --demo-grid "$OBS_STREAM".s1 2> /dev/null)"
+S2_OUT="$(TDTM_THREADS=1 TDTM_CACHE_DIR="$CACHE_DIR" cargo run -q --release -p tdtm-bench --bin obs_report -- --demo-grid "$OBS_STREAM".s2 2> /dev/null)"
+TDTM_THREADS=1 TDTM_CACHE=0 TDTM_CACHE_DIR="$CACHE_DIR" cargo run -q --release -p tdtm-bench --bin obs_report -- --demo-grid "$OBS_STREAM".s3 > /dev/null 2>&1
 test "$(grep -c '"cached":false' "$OBS_STREAM".s1)" -eq 4 || { echo "cache smoke: cold pass must stream 4 fresh records"; exit 1; }
 test "$(grep -c '"cached":true' "$OBS_STREAM".s2)" -eq 4 || { echo "cache smoke: warm pass must replay all 4 records"; exit 1; }
 grep -q '"cached"' "$OBS_STREAM".s3 && { echo "cache smoke: TDTM_CACHE=0 must not stamp cache provenance"; exit 1; }
@@ -90,11 +92,12 @@ rm -f "$MC2_ERR"
 echo "== tier 1: idle-gap skip identity smoke (TDTM_SKIP=0 vs default) =="
 # One toggle-policy cell both ways through the env-var opt-out, on a single
 # core and on a 2-core chip, each under full telemetry. Observed runs take
-# the same skipping cycle loop as plain runs, so the report summaries
-# (cycles, IPC, emergency/stress, peak temperature) and every deterministic
-# metric line must match to the last printed digit, and the default run
-# must actually have skipped.
-REPORT='^(run: |     emergency|     hottest|core [0-9]|chip: [0-9]|        hottest|  [a-z_]+ +[0-9n])'
+# the same skipping cycle loop as plain runs, so the per-core and chip
+# summaries (cycles, IPC, power, emergency/stress, DTM samples, peak
+# temperature), the event-ring tallies and every deterministic metric line
+# must match to the last printed digit, and the default run must actually
+# have skipped.
+REPORT='^(core [0-9]|chip: [0-9]|        hottest|  [a-z_]+ +[0-9n])'
 for CELL in "" "--cores 2"; do
   ON_ERR="$(TDTM_INSTS=20000 cargo run -q --release -p tdtm-bench --bin trace_run -- gcc toggle1 $CELL --stride 1000 2>&1 > /dev/null)"
   OFF_ERR="$(TDTM_INSTS=20000 TDTM_SKIP=0 cargo run -q --release -p tdtm-bench --bin trace_run -- gcc toggle1 $CELL --stride 1000 2>&1 > /dev/null)"

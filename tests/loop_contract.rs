@@ -11,12 +11,11 @@
 //!    interrupt triggering, instruction or cycle budget): the default
 //!    run, the reference oracle, the run without skipping, the run under
 //!    full telemetry, the experiment engine's uncached cell, and the
-//!    one-core chip (direct triggering only) give byte-identical reports
-//!    and duty histories.
-//! 2. **Chips with 2 and 4 cores**, with and without a supervisor and
-//!    with neighbor policies: skipping on, off, and under telemetry give
-//!    byte-identical `ChipReport`s; three fixed chip cells are pinned by
-//!    committed digests.
+//!    one-core chip give byte-identical reports and duty histories.
+//! 2. **Chips with 2 and 4 cores**, with and without a supervisor, with
+//!    neighbor policies, direct or interrupt triggering: skipping on,
+//!    off, and under telemetry give byte-identical `ChipReport`s; three
+//!    fixed chip cells are pinned by committed digests.
 //! 3. **Observation does not depend on skipping**: a fully observed run
 //!    records the same events, counters, proxy counts, trace and power
 //!    trace whether idle gaps are skipped or executed.
@@ -97,6 +96,18 @@ fn run_engine(cfg: &SimConfig, bench: &str) -> RunReport {
     results.runs.remove(0).report
 }
 
+/// Direct triggering, or (with probability 0.4) an interrupt delay
+/// below, at, or beyond one sampling interval, so several delayed
+/// commands can be in flight at once.
+fn random_mechanism(rng: &mut tdtm_prng::Rng) -> TriggerMechanism {
+    if rng.next_f64() < 0.4 {
+        let latency_cycles = *rng.choose(&[0, 1, 250, 1500]);
+        TriggerMechanism::Interrupt { latency_cycles }
+    } else {
+        TriggerMechanism::Direct
+    }
+}
+
 /// A random single-core cell for `policy`.
 fn random_cfg(rng: &mut tdtm_prng::Rng, policy: PolicyKind) -> SimConfig {
     let mut cfg = SimConfig::quick_test();
@@ -108,12 +119,7 @@ fn random_cfg(rng: &mut tdtm_prng::Rng, policy: PolicyKind) -> SimConfig {
     if rng.next_f64() < 0.3 {
         cfg.leakage = Some(LeakageModel::node_180nm());
     }
-    if rng.next_f64() < 0.4 {
-        // Latencies below, at, and beyond one sampling interval, so
-        // several delayed commands can be in flight at once.
-        let latency_cycles = *rng.choose(&[0, 1, 250, 1500]);
-        cfg.dtm.mechanism = TriggerMechanism::Interrupt { latency_cycles };
-    }
+    cfg.dtm.mechanism = random_mechanism(rng);
     // Stop either on the instruction budget or on a cycle cap that can
     // land anywhere relative to the sampling interval.
     if rng.next_f64() < 0.5 {
@@ -157,22 +163,20 @@ fn random_single_core_configs_agree_on_every_entry_point() {
             &run_engine(&cfg, bench),
             &format!("{what}: default vs engine"),
         );
-        if matches!(cfg.dtm.mechanism, TriggerMechanism::Direct) {
-            let w = by_name(bench).expect("suite workload");
-            let mut chip = MulticoreSim::for_workload(cfg.clone(), &w);
-            let report = chip.run();
-            assert_eq!(report.cores.len(), 1);
-            assert_same(
-                &base,
-                &report.cores[0],
-                &format!("{what}: default vs one-core chip"),
-            );
-            assert_eq!(
-                base_duty,
-                chip.duty_history(0),
-                "{what}: default vs one-core chip duty"
-            );
-        }
+        let w = by_name(bench).expect("suite workload");
+        let mut chip = MulticoreSim::for_workload(cfg.clone(), &w);
+        let report = chip.run();
+        assert_eq!(report.cores.len(), 1);
+        assert_same(
+            &base,
+            &report.cores[0],
+            &format!("{what}: default vs one-core chip"),
+        );
+        assert_eq!(
+            base_duty,
+            chip.duty_history(0),
+            "{what}: default vs one-core chip duty"
+        );
     });
 }
 
@@ -224,12 +228,14 @@ fn chips_agree_with_skipping_on_off_and_observed() {
         if rng.next_f64() < 0.5 {
             cfg.chip.neighbor_policy = Some(*rng.choose(&[PolicyKind::None, PolicyKind::Toggle1]));
         }
+        cfg.dtm.mechanism = random_mechanism(rng);
         let what = format!(
-            "{cores} cores {policy:?} heatsink {:.2} insts {} supervisor {} neighbors {:?}",
+            "{cores} cores {policy:?} heatsink {:.2} insts {} supervisor {} neighbors {:?} {:?}",
             cfg.heatsink_temp,
             cfg.max_insts,
             cfg.chip.supervisor.is_some(),
             cfg.chip.neighbor_policy,
+            cfg.dtm.mechanism,
         );
         let (base, base_duty) = run_chip(&cfg, true, false);
         for (skip, telemetry) in [(false, false), (true, true), (false, true)] {
@@ -345,13 +351,14 @@ fn run_observed(cfg: &SimConfig, skip: bool) -> Observed {
     sim.add_structure_proxy(2_000);
     sim.add_chipwide_proxy(2_000, 40.0);
     let report = sim.run();
-    let telemetry = sim.take_telemetry().expect("telemetry was enabled");
-    let events = telemetry.events.expect("events on");
+    let mut telemetry = sim.take_telemetry().expect("telemetry was enabled");
+    let core = telemetry.cores.remove(0);
+    let events = core.events.expect("events on");
     Observed {
         report,
         events: events.iter().copied().collect(),
         events_recorded: events.recorded(),
-        counters: telemetry.metrics.expect("metrics on").snapshot(),
+        counters: core.metrics.expect("metrics on").snapshot(),
         proxies: sim.proxies().iter().map(|p| p.counts.clone()).collect(),
         trace: format!("{:?}", sim.trace().expect("trace on")),
         power_trace: sim.power_trace().expect("power trace on").clone(),
